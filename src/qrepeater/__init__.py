@@ -5,105 +5,3 @@ resources and build times for repeater chains that alternate noisy pair
 connection with noisy two-pair purification, and ships an exact small-system
 density-matrix simulation that every closed-form map is checked against.
 """
-
-from .engine import (
-    LevelRecord,
-    OptimizeResult,
-    ProtocolConfig,
-    RepeaterReport,
-    TimingModel,
-    average_pairs_per_level,
-    aux_fidelity_limit,
-    compute_time,
-    compute_time_aux,
-    optimize_working_fidelity,
-    simulate,
-    simulate_aux_scheme,
-    simulate_nested,
-    simulate_scheme_c,
-)
-from .errors import (
-    AuxPurificationError,
-    BelowThresholdError,
-    DegeneratePostSelectionError,
-    InfeasibleError,
-    NumericError,
-    PurificationImpossibleError,
-    RepeaterError,
-    ValidationError,
-    WorkingFidelityUnreachableError,
-)
-from .maps import (
-    FixedPoints,
-    PurifyOutcome,
-    StaircaseTrace,
-    bennett_map,
-    connect_L,
-    connect_chain,
-    connect_states,
-    deutsch_werner_map,
-    fixed_points,
-    purify_bennett,
-    purify_deutsch,
-    purify_with_aux,
-    staircase,
-)
-from .oracle import (
-    NoiseParams,
-    apply_noisy_one_qubit,
-    apply_noisy_two_qubit,
-    noisy_measure,
-    oracle_connect,
-    oracle_purify,
-)
-from .states import BellDiagonalState, WernerState, fidelity_of, twirl, werner_from_fidelity
-
-__all__ = [
-    "AuxPurificationError",
-    "BellDiagonalState",
-    "BelowThresholdError",
-    "DegeneratePostSelectionError",
-    "FixedPoints",
-    "InfeasibleError",
-    "LevelRecord",
-    "NoiseParams",
-    "NumericError",
-    "OptimizeResult",
-    "ProtocolConfig",
-    "PurificationImpossibleError",
-    "PurifyOutcome",
-    "RepeaterError",
-    "RepeaterReport",
-    "StaircaseTrace",
-    "TimingModel",
-    "ValidationError",
-    "WernerState",
-    "WorkingFidelityUnreachableError",
-    "apply_noisy_one_qubit",
-    "apply_noisy_two_qubit",
-    "average_pairs_per_level",
-    "aux_fidelity_limit",
-    "bennett_map",
-    "compute_time",
-    "compute_time_aux",
-    "connect_L",
-    "connect_chain",
-    "connect_states",
-    "deutsch_werner_map",
-    "fidelity_of",
-    "fixed_points",
-    "noisy_measure",
-    "optimize_working_fidelity",
-    "oracle_connect",
-    "oracle_purify",
-    "purify_bennett",
-    "purify_deutsch",
-    "purify_with_aux",
-    "simulate",
-    "simulate_aux_scheme",
-    "simulate_nested",
-    "simulate_scheme_c",
-    "staircase",
-    "twirl",
-    "werner_from_fidelity",
-]

@@ -21,7 +21,6 @@ from .engine import (
     TimingModel,
     average_pairs_per_level,
     simulate,
-    simulate_aux_scheme,
 )
 from .errors import InfeasibleError, ValidationError
 from .oracle import NoiseParams, oracle_connect, oracle_purify
@@ -114,7 +113,7 @@ def cmd_purify_curve(args) -> int:
             outcome = maps.purify_bennett(f, noise)
         else:
             state = WernerState(f).to_bell_diagonal()
-            outcome, _ = maps.purify_deutsch(state, state, noise)
+            outcome, _ = maps.purify_with_aux(state, state, noise, "deutsch")
         rows.append((f, outcome.out_fidelity, outcome.p_succ))
     _write_output(args, _table(["fidelity_in", "fidelity_out", "p_succ"], rows, args.format))
     return EXIT_OK
@@ -163,13 +162,15 @@ def _config_from_args(args) -> ProtocolConfig:
         if not isinstance(file_values, dict):
             raise ValidationError(f"config file {args.config} must hold a JSON object")
 
-    def pick(flag_name, file_key, fallback):
-        flag = getattr(args, flag_name)
-        if flag is not None:
-            return flag
-        if file_key in file_values:
-            return file_values[file_key]
-        return fallback
+    def pick(key, fallback, kind):
+        value = getattr(args, key)
+        if value is None:
+            value = file_values.get(key, fallback)
+        # bool is an int subclass, and float() or int() would coerce it silently
+        allowed = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValidationError(f"config field {key} must be {kind.__name__}, got {value!r}")
+        return kind(value)
 
     unknown = set(file_values) - {
         "scheme", "N", "L", "p1", "p2", "eta", "f_init", "f_work",
@@ -179,22 +180,22 @@ def _config_from_args(args) -> ProtocolConfig:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
 
     noise = NoiseParams(
-        p1=float(pick("p1", "p1", 1.0)),
-        p2=float(pick("p2", "p2", 1.0)),
-        eta=float(pick("eta", "eta", 1.0)),
+        p1=pick("p1", 1.0, float),
+        p2=pick("p2", 1.0, float),
+        eta=pick("eta", 1.0, float),
     )
     timing = TimingModel(
-        tau_op=float(pick("tau_op", "tau_op", 1e-5)),
-        tau_pair=float(pick("tau_pair", "tau_pair", 3e-4)),
-        segment_km=float(pick("segment_km", "segment_km", 10.0)),
-        signal_speed=float(pick("signal_speed", "signal_speed", 2e5)),
+        tau_op=pick("tau_op", 1e-5, float),
+        tau_pair=pick("tau_pair", 3e-4, float),
+        segment_km=pick("segment_km", 10.0, float),
+        signal_speed=pick("signal_speed", 2e5, float),
     )
-    f_work = float(pick("f_work", "f_work", 0.96))
+    f_work = pick("f_work", 0.96, float)
     return ProtocolConfig(
-        n_segments=int(pick("N", "N", 16)),
-        length=int(pick("L", "L", 2)),
-        scheme=str(pick("scheme", "scheme", "B")),
-        f_init=float(pick("f_init", "f_init", f_work)),
+        n_segments=pick("N", 16, int),
+        length=pick("L", 2, int),
+        scheme=pick("scheme", "B", str),
+        f_init=pick("f_init", f_work, float),
         f_work=f_work,
         noise=noise,
         timing=timing,
@@ -208,11 +209,7 @@ def _report_payload(report: RepeaterReport) -> dict:
 
 
 def cmd_repeater(args) -> int:
-    config = _config_from_args(args)
-    if config.scheme == "C" and args.purifier == "bennett":
-        report = simulate_aux_scheme(config, protocol="bennett")
-    else:
-        report = simulate(config)
+    report = simulate(_config_from_args(args), protocol=args.purifier)
     payload = _report_payload(report)
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n"
@@ -270,7 +267,7 @@ def cmd_oracle_check(args) -> int:
             for eta in (1.0, 0.995, 0.97):
                 noise = NoiseParams(1.0, p2, eta)
                 p_succ, out = oracle_purify(s1, s2, noise, "deutsch")
-                ref, out_cf = maps.purify_deutsch(s1, s2, noise)
+                ref, out_cf = maps.purify_with_aux(s1, s2, noise, "deutsch")
                 dev = max(abs(a - b) for a, b in zip(out.coeffs, out_cf.coeffs))
                 worst_deutsch = max(worst_deutsch, dev, abs(p_succ - ref.p_succ))
 

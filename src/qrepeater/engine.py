@@ -16,33 +16,22 @@ Monte Carlo):
   compounds level over level.
 
 Resource accounting: a level that needs ``m`` purification steps consumes on
-average ``M = prod(2 / p_succ)`` parallel copies of its connected pair; the
-report carries the per-level ``M_k``, their product (the headline parallel
-resources) and the total elementary-pair count ``prod(L * M_k)``.
+average ``M = prod(2 / p_succ)`` parallel copies of its connected pair (in
+scheme C, ``M = 1 + m`` sequential creations); the report carries the
+per-level ``M_k``, their product (the headline parallel resources; in scheme
+C the ``n_levels + 1`` particles per node instead) and the total
+elementary-pair count ``prod(L * M_k)``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .errors import (
-    AuxPurificationError,
-    InfeasibleError,
-    NumericError,
-    ValidationError,
-)
-from .maps import (
-    StaircaseTrace,
-    _purify_until,
-    connect_chain,
-    connect_L,
-    purify_with_aux,
-)
+from .errors import AuxPurificationError, InfeasibleError, ValidationError
+from .maps import _purify_until, connect_chain, connect_L
 from .oracle import NoiseParams
-from .states import BellDiagonalState, WernerState
-
-_GAIN_EPS = 1e-13
-_MAX_PUMP_ITERS = 10_000
+from .states import WernerState
 
 
 @dataclass(frozen=True)
@@ -62,8 +51,11 @@ class TimingModel:
 
     def __post_init__(self):
         for name in ("tau_op", "tau_pair", "segment_km", "signal_speed"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"timing field {name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValidationError(
+                    f"timing field {name} must be positive and finite, got {value!r}"
+                )
 
     def comm_time(self, span_segments: int) -> float:
         """One-way classical signalling time across ``span_segments`` segments."""
@@ -91,8 +83,7 @@ class ProtocolConfig:
             raise ValidationError(
                 f"need at least {self.length} segments, got {self.n_segments}"
             )
-        n = round(math.log(self.n_segments, self.length))
-        if self.length ** n != self.n_segments:
+        if self.length ** self.n_levels != self.n_segments:
             raise ValidationError(
                 f"segment count {self.n_segments} is not a power of L={self.length}"
             )
@@ -101,9 +92,13 @@ class ProtocolConfig:
             if not 0.25 <= value <= 1.0:
                 raise ValidationError(f"{name} must lie in [0.25, 1], got {value!r}")
 
-    @property
+    @cached_property
     def n_levels(self) -> int:
-        return round(math.log(self.n_segments, self.length))
+        """Largest n with ``length ** n <= n_segments``, in integer arithmetic."""
+        n, span = 0, self.length
+        while span <= self.n_segments:
+            n, span = n + 1, span * self.length
+        return n
 
 
 @dataclass(frozen=True)
@@ -147,53 +142,39 @@ def _attach_level(exc: InfeasibleError, level: int) -> InfeasibleError:
     return exc
 
 
-def _level_purify(connected: BellDiagonalState, f_work: float, noise: NoiseParams,
-                  protocol: str, started_from: float) -> StaircaseTrace:
-    return _purify_until(connected, f_work, noise, protocol, started_from=started_from)
+def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterReport:
+    """Run the nested protocol: per level, connect ``L`` pairs, then purify to ``f_work``.
 
+    The scheme fixes the two things that differ between the variants: whether
+    states are depolarized to Werner form after every map (scheme A), and
+    where a purification step gets its copy: a parallel copy of the pair
+    (A, B) or a re-created auxiliary pair (C).  ``protocol`` selects scheme
+    C's purification protocol, ``"deutsch"`` by default; the twirl-based
+    ``"bennett"`` fails the pumping condition and raises.  Schemes A and B
+    ignore it.
 
-def compute_time(config: ProtocolConfig, steps_per_level: list[int]) -> float:
-    """Total build time for the parallel-copies schemes (A and B).
-
-    Elementary pairs and all purification copies are created in parallel, so
-    one level costs one connection round plus one round per purification
-    step; every round at level k pays the local operation time and the
-    classical signalling time across the level's span.
+    Build time: elementary pairs take ``tau_pair``; every round at level k
+    pays the local operation time and the classical signalling time across
+    the level's span.  With parallel copies a level costs one connection
+    round plus one round per purification step.  In scheme C the auxiliary
+    pair of every step is re-created from scratch through all lower levels
+    (sequentially), while the sub-builds within one creation run in parallel
+    across their spans.
     """
+    pumped = config.scheme == "C"
+    if not pumped:
+        protocol = "bennett" if config.scheme == "A" else "deutsch"
+    elif protocol is None:
+        protocol = "deutsch"
+    elif protocol not in ("bennett", "deutsch"):
+        raise ValidationError(f"unknown purification protocol {protocol!r}")
+
     timing = config.timing
-    total = timing.tau_pair
-    for k, steps in enumerate(steps_per_level, start=1):
-        round_time = timing.tau_op + timing.comm_time(config.length ** k)
-        total += (1 + steps) * round_time
-    return total
-
-
-def compute_time_aux(config: ProtocolConfig, iters_per_level: list[int]) -> float:
-    """Total build time for scheme C.
-
-    The auxiliary pair consumed by each pumping iteration is re-created from
-    scratch through all lower levels (sequentially), while the sub-builds
-    within one creation run in parallel across their spans.
-    """
-    timing = config.timing
-    t_level = timing.tau_pair
-    for k, iters in enumerate(iters_per_level, start=1):
-        round_time = timing.tau_op + timing.comm_time(config.length ** k)
-        t_pair = t_level + round_time
-        t_level = t_pair + iters * (t_pair + round_time)
-    return t_level
-
-
-def simulate_nested(config: ProtocolConfig) -> RepeaterReport:
-    """Run the parallel-copies nested protocol (schemes A and B)."""
-    if config.scheme == "C":
-        return simulate_scheme_c(config)
-    protocol = "bennett" if config.scheme == "A" else "deutsch"
-
     state = WernerState(config.f_init).to_bell_diagonal()
     levels: list[LevelRecord] = []
     parallel = 1.0
     pairs = 1.0
+    total_time = timing.tau_pair
     for level in range(1, config.n_levels + 1):
         f_in = state.fidelity
         if config.scheme == "A":
@@ -201,27 +182,32 @@ def simulate_nested(config: ProtocolConfig) -> RepeaterReport:
             connected = WernerState(connected_f).to_bell_diagonal()
         else:
             connected = connect_chain([state] * config.length, config.noise)
-            connected_f = connected.fidelity
         try:
-            trace = _level_purify(connected, config.f_work, config.noise,
-                                  protocol, started_from=connected_f)
+            trace = _purify_until(connected, config.f_work, config.noise, protocol,
+                                  aux=connected if pumped else None)
         except InfeasibleError as exc:
             raise _attach_level(exc, level)
+        steps = len(trace.steps)
         levels.append(LevelRecord(
             level=level,
             span_segments=config.length ** level,
             fidelity_in=f_in,
-            fidelity_connected=connected_f,
-            fidelity_achieved=trace.achieved_fidelity,
-            steps=trace.m_max,
+            fidelity_connected=connected.fidelity,
+            fidelity_achieved=trace.final_state.fidelity,
+            steps=steps,
             p_succ=tuple(p for _, p in trace.steps),
             avg_pairs=trace.avg_pairs,
         ))
         parallel *= trace.avg_pairs
         pairs *= config.length * trace.avg_pairs
+        round_time = timing.tau_op + timing.comm_time(config.length ** level)
+        if pumped:
+            t_pair = total_time + round_time
+            total_time = t_pair + steps * (t_pair + round_time)
+        else:
+            total_time += (1 + steps) * round_time
         state = trace.final_state
 
-    total_time = compute_time(config, [rec.steps for rec in levels])
     return RepeaterReport(
         scheme=config.scheme,
         n_segments=config.n_segments,
@@ -233,119 +219,11 @@ def simulate_nested(config: ProtocolConfig) -> RepeaterReport:
         timing=config.timing,
         levels=tuple(levels),
         final_fidelity=state.fidelity,
-        parallel_resources=parallel,
+        parallel_resources=float(config.n_levels + 1) if pumped else parallel,
         elementary_pairs=pairs,
         total_time=total_time,
+        particles_per_node=config.n_levels + 1 if pumped else None,
     )
-
-
-def _pump_with_aux(aux: BellDiagonalState, f_work: float,
-                   noise: NoiseParams, protocol: str) -> tuple[list[float], BellDiagonalState]:
-    """Pump a stored pair (initially a copy of ``aux``) up to ``f_work``.
-
-    Every iteration sacrifices a fresh copy of ``aux``.  Raises
-    :class:`AuxPurificationError` when the iteration stalls below the
-    target, i.e. the attractor of the pumping map lies below ``f_work``.
-    """
-    stored = aux
-    p_list: list[float] = []
-    while stored.fidelity < f_work:
-        if len(p_list) >= _MAX_PUMP_ITERS:
-            raise NumericError(
-                f"auxiliary pumping did not terminate within {_MAX_PUMP_ITERS} iterations"
-            )
-        outcome, nxt = purify_with_aux(stored, aux, noise, protocol)
-        if nxt.fidelity <= stored.fidelity + _GAIN_EPS:
-            raise AuxPurificationError(
-                f"pumping with the re-created pair stalls at fidelity "
-                f"{stored.fidelity:.6f}, below the working fidelity {f_work}"
-            )
-        p_list.append(outcome.p_succ)
-        stored = nxt
-    return p_list, stored
-
-
-def aux_fidelity_limit(aux: BellDiagonalState, noise: NoiseParams,
-                       protocol: str = "deutsch", max_iters: int = 100_000) -> float:
-    """Attractor of the constant-auxiliary pumping map (the reachable ceiling)."""
-    stored = aux
-    for _ in range(max_iters):
-        _, nxt = purify_with_aux(stored, aux, noise, protocol)
-        if nxt.fidelity <= stored.fidelity + _GAIN_EPS:
-            return stored.fidelity
-        stored = nxt
-    return stored.fidelity
-
-
-def simulate_scheme_c(config: ProtocolConfig) -> RepeaterReport:
-    """Run the auxiliary-pair variant (scheme C).
-
-    At each level the chain is fused into one pair of fidelity pi_0, which
-    is held in auxiliary particles and pumped back to the working fidelity
-    by repeatedly re-creating an identical pair and purifying with it.  One
-    string particle plus one storage particle per nesting level gives
-    ``n_levels + 1`` particles per connection node.
-    """
-    if config.scheme != "C":
-        raise ValidationError(f"simulate_scheme_c requires scheme C, got {config.scheme}")
-    return simulate_aux_scheme(config, protocol="deutsch")
-
-
-def simulate_aux_scheme(config: ProtocolConfig, protocol: str = "deutsch") -> RepeaterReport:
-    """Scheme C with a selectable purification protocol (the twirl-based
-    variant is expected to fail its pumping condition and raises)."""
-    if protocol not in ("bennett", "deutsch"):
-        raise ValidationError(f"unknown purification protocol {protocol!r}")
-
-    state = WernerState(config.f_init).to_bell_diagonal()
-    levels: list[LevelRecord] = []
-    iters: list[int] = []
-    creations = 1.0  # elementary pairs consumed, accumulated level by level
-    for level in range(1, config.n_levels + 1):
-        f_in = state.fidelity
-        aux = connect_chain([state] * config.length, config.noise)
-        try:
-            p_list, stored = _pump_with_aux(aux, config.f_work, config.noise, protocol)
-        except InfeasibleError as exc:
-            raise _attach_level(exc, level)
-        levels.append(LevelRecord(
-            level=level,
-            span_segments=config.length ** level,
-            fidelity_in=f_in,
-            fidelity_connected=aux.fidelity,
-            fidelity_achieved=stored.fidelity,
-            steps=len(p_list),
-            p_succ=tuple(p_list),
-            avg_pairs=float(1 + len(p_list)),
-        ))
-        iters.append(len(p_list))
-        creations *= config.length * (1 + len(p_list))
-        state = stored
-
-    total_time = compute_time_aux(config, iters)
-    return RepeaterReport(
-        scheme="C",
-        n_segments=config.n_segments,
-        length=config.length,
-        n_levels=config.n_levels,
-        f_init=config.f_init,
-        f_work=config.f_work,
-        noise=config.noise,
-        timing=config.timing,
-        levels=tuple(levels),
-        final_fidelity=state.fidelity,
-        parallel_resources=float(config.n_levels + 1),
-        elementary_pairs=creations,
-        total_time=total_time,
-        particles_per_node=config.n_levels + 1,
-    )
-
-
-def simulate(config: ProtocolConfig) -> RepeaterReport:
-    """Dispatch on the configured scheme."""
-    if config.scheme == "C":
-        return simulate_scheme_c(config)
-    return simulate_nested(config)
 
 
 @dataclass(frozen=True)
@@ -376,7 +254,7 @@ def average_pairs_per_level(length: int, noise: NoiseParams, protocol: str,
         f_work=working_fidelity,
         noise=noise,
     )
-    report = simulate_nested(config)
+    report = simulate(config)
     return report.parallel_resources ** (1.0 / n_levels)
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
+    AuxPurificationError,
     BelowThresholdError,
     DegeneratePostSelectionError,
     NumericError,
@@ -54,19 +55,18 @@ class FixedPoints:
 
 
 @dataclass(frozen=True)
-class StaircaseTrace:
+class PurifyTrace:
     """Record of repeated purification back up to the working fidelity.
 
-    ``steps`` holds (fidelity, p_succ) after each step, ``m_max`` the number
-    of steps, ``avg_pairs`` the expected number of parallel input pairs
-    consumed (product of 2/p_succ over the steps).  ``final_state`` is the
-    full Bell-diagonal state after the last step.
+    ``steps`` holds (fidelity, p_succ) after each step and ``final_state``
+    the full Bell-diagonal state after the last one.  ``avg_pairs`` is the
+    expected number of pairs consumed: the product of 2/p_succ over the steps
+    with parallel copies, one plus the step count with a re-created
+    auxiliary pair.
     """
 
     steps: tuple[tuple[float, float], ...]
-    m_max: int
     avg_pairs: float
-    achieved_fidelity: float
     final_state: BellDiagonalState
 
 
@@ -177,26 +177,16 @@ def purify_bennett(fidelity: float, noise: NoiseParams) -> PurifyOutcome:
     return PurifyOutcome(out[0], p_succ)
 
 
-def purify_deutsch(state1: BellDiagonalState, state2: BellDiagonalState,
-                   noise: NoiseParams) -> tuple[PurifyOutcome, BellDiagonalState]:
-    """One purification step of the rotation-based protocol.
-
-    Operates on full Bell-diagonal states; intermediate states are *not*
-    depolarized, which is what makes this protocol converge in fewer steps.
-    """
-    p_succ, out = _general_purify(state1.coeffs, state2.coeffs, noise, "deutsch")
-    out_state = BellDiagonalState(out)
-    return PurifyOutcome(out_state.fidelity, p_succ), out_state
-
-
 def purify_with_aux(target: BellDiagonalState, aux: BellDiagonalState,
                     noise: NoiseParams, protocol: str = "deutsch",
                     ) -> tuple[PurifyOutcome, BellDiagonalState]:
     """Purify ``target`` by sacrificing a (generally different) ``aux`` pair.
 
     Same circuits as the symmetric steps, with the auxiliary pair on the
-    measured side.  With ``aux == target`` this reduces to the symmetric
-    step exactly.
+    measured side; ``aux == target`` is the symmetric step.  Full
+    Bell-diagonal states are carried: with the rotation-based protocol the
+    output is *not* depolarized, which is what makes it converge in fewer
+    steps.
     """
     p_succ, out = _general_purify(target.coeffs, aux.coeffs, noise, protocol)
     out_state = BellDiagonalState(out)
@@ -214,7 +204,7 @@ def deutsch_werner_map(noise: NoiseParams) -> Callable[[float], float]:
     """Fidelity after one rotation-based step applied to two Werner pairs."""
     def fmap(fidelity: float) -> float:
         state = WernerState(fidelity).to_bell_diagonal()
-        outcome, _ = purify_deutsch(state, state, noise)
+        outcome, _ = purify_with_aux(state, state, noise, "deutsch")
         return outcome.out_fidelity
     return fmap
 
@@ -286,15 +276,18 @@ def fixed_points(fidelity_map: Callable[[float], float],
 
 def _purify_until(state: BellDiagonalState, target_fidelity: float,
                   noise: NoiseParams, protocol: str,
-                  started_from: float | None = None) -> StaircaseTrace:
-    """Iterate symmetric purification until the fidelity reaches the target.
+                  aux: BellDiagonalState | None = None) -> PurifyTrace:
+    """Iterate purification until the fidelity reaches the target.
 
-    Both protocols pair two identical copies of the current state at every
-    step; the twirl-based variant re-depolarizes the output each step, the
-    rotation-based one carries the full state.  Overshoot past the target is
-    allowed and recorded.
+    Without ``aux`` every step pairs two parallel copies of the current
+    state; the twirl-based protocol re-depolarizes the output each step, the
+    rotation-based one carries the full state.  With ``aux`` every step
+    sacrifices a freshly re-created copy of that pair instead (pumping), and
+    no step depolarizes.  Overshoot past the target is allowed and recorded.
+    A step that gains nothing raises: :class:`AuxPurificationError` when
+    pumping, :class:`BelowThresholdError` when the start was already at the
+    repelling threshold, :class:`WorkingFidelityUnreachableError` otherwise.
     """
-    start = state.fidelity if started_from is None else started_from
     steps: list[tuple[float, float]] = []
     avg_pairs = 1.0
     current = state
@@ -303,63 +296,34 @@ def _purify_until(state: BellDiagonalState, target_fidelity: float,
             raise NumericError(
                 f"purification did not terminate within {_MAX_STEPS} steps"
             )
-        if protocol == "bennett":
+        if aux is None and protocol == "bennett":
             outcome = purify_bennett(current.fidelity, noise)
             nxt = WernerState(outcome.out_fidelity).to_bell_diagonal()
         else:
-            outcome, nxt = purify_deutsch(current, current, noise)
+            outcome, nxt = purify_with_aux(current, current if aux is None else aux,
+                                           noise, protocol)
         if nxt.fidelity <= current.fidelity + _GAIN_EPS:
             stalled = current.fidelity
-            if stalled <= start + 1e-9:
+            if aux is not None:
+                raise AuxPurificationError(
+                    f"pumping with the re-created pair stalls at fidelity "
+                    f"{stalled:.6f}, below the working fidelity {target_fidelity}"
+                )
+            if stalled <= state.fidelity + 1e-9:
                 raise BelowThresholdError(
-                    f"fidelity {start:.6f} is at or below the purification threshold"
+                    f"fidelity {state.fidelity:.6f} is at or below the purification threshold"
                 )
             raise WorkingFidelityUnreachableError(
                 f"purification stalls at fidelity {stalled:.6f}, "
                 f"below the working fidelity {target_fidelity}"
             )
         steps.append((nxt.fidelity, outcome.p_succ))
-        avg_pairs *= 2.0 / outcome.p_succ
+        if aux is None:
+            avg_pairs *= 2.0 / outcome.p_succ
+        else:
+            avg_pairs += 1.0
         current = nxt
-    return StaircaseTrace(
-        steps=tuple(steps),
-        m_max=len(steps),
-        avg_pairs=avg_pairs,
-        achieved_fidelity=current.fidelity,
-        final_state=current,
-    )
-
-
-def staircase(working_fidelity: float, length: int, noise: NoiseParams,
-              protocol: str = "bennett") -> StaircaseTrace:
-    """Connect a chain at the working fidelity, then purify back up to it.
-
-    Starts from the depolarized (Werner) connected pair and applies the
-    chosen protocol's symmetric step until the fidelity is at least
-    ``working_fidelity`` again, recording per-step success probabilities and
-    the average number of parallel pairs ``avg_pairs = prod(2 / p_succ)``.
-    """
-    if protocol not in ("bennett", "deutsch"):
-        raise ValidationError(f"unknown purification protocol {protocol!r}")
-    connected = connect_L(working_fidelity, length, noise)
-    start_state = WernerState(connected).to_bell_diagonal()
-    if connected >= working_fidelity:
-        return StaircaseTrace((), 0, 1.0, connected, start_state)
-    if protocol == "bennett":
-        # cheap a-priori checks give clearer errors than iteration stalls
-        points = fixed_points(bennett_map(noise))
-        if connected <= points.f_min + 1e-12:
-            raise BelowThresholdError(
-                f"connected fidelity {connected:.6f} is at or below the lower "
-                f"fixed point {points.f_min:.6f}"
-            )
-        if working_fidelity > points.f_max + 1e-12:
-            raise WorkingFidelityUnreachableError(
-                f"working fidelity {working_fidelity} exceeds the attractor "
-                f"{points.f_max:.6f}"
-            )
-    return _purify_until(start_state, working_fidelity, noise, protocol,
-                         started_from=connected)
+    return PurifyTrace(steps=tuple(steps), avg_pairs=avg_pairs, final_state=current)
 
 
 def eq_noiseless_bennett(fidelity: float) -> float:

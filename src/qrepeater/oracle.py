@@ -227,13 +227,6 @@ def bell_coefficients(rho: np.ndarray) -> np.ndarray:
     return np.array([(_BELL[:, k].conj() @ rho @ _BELL[:, k]).real for k in range(4)])
 
 
-def bell_offdiagonal_norm(rho: np.ndarray) -> float:
-    """Largest Bell-basis off-diagonal magnitude (diagnostic)."""
-    in_bell = _BELL.conj().T @ rho @ _BELL
-    off = in_bell - np.diag(np.diag(in_bell))
-    return float(np.abs(off).max())
-
-
 def validate_density_matrix(rho: np.ndarray, atol: float = 1e-10) -> None:
     """Raise if ``rho`` is not Hermitian, unit trace and positive within atol."""
     if np.abs(rho - rho.conj().T).max() > atol:

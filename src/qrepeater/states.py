@@ -81,17 +81,3 @@ class BellDiagonalState:
     def fidelity(self) -> float:
         return self.coeffs[0]
 
-
-def werner_from_fidelity(fidelity: float) -> WernerState:
-    """Werner state with the given target-state overlap."""
-    return WernerState(fidelity)
-
-
-def fidelity_of(state: BellDiagonalState) -> float:
-    """Target-state coefficient of a Bell-diagonal state."""
-    return state.coeffs[0]
-
-
-def twirl(state: BellDiagonalState) -> WernerState:
-    """Depolarize to Werner form: keep the target coefficient, symmetrize the rest."""
-    return WernerState(state.coeffs[0])

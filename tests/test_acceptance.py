@@ -18,8 +18,6 @@ from qrepeater.engine import (
     ProtocolConfig,
     optimize_working_fidelity,
     simulate,
-    simulate_aux_scheme,
-    simulate_nested,
 )
 from qrepeater.errors import AuxPurificationError
 from qrepeater.oracle import NoiseParams
@@ -191,7 +189,7 @@ def test_criterion_8_aux_pair_condition():
 
     bennett_failed_at = None
     try:
-        simulate_aux_scheme(config, protocol="bennett")
+        simulate(config, protocol="bennett")
     except AuxPurificationError as exc:
         bennett_failed_at = exc.level
     ok = deutsch_ok and bennett_failed_at == 1
@@ -203,14 +201,14 @@ def test_criterion_8_aux_pair_condition():
 def test_criterion_9_polynomial_scaling():
     log_n, log_r = [], []
     for n in range(4, 11):
-        report = simulate_nested(ProtocolConfig(
+        report = simulate(ProtocolConfig(
             n_segments=2 ** n, length=2, scheme="B", f_init=0.96, f_work=0.96,
             noise=NOISE_0995))
         log_n.append(n * math.log(2.0))
         log_r.append(math.log(report.elementary_pairs))
     slope = float(np.polyfit(log_n, log_r, 1)[0])
 
-    report = simulate_nested(ProtocolConfig(
+    report = simulate(ProtocolConfig(
         n_segments=2 ** 10, length=2, scheme="B", f_init=0.96, f_work=0.96,
         noise=NOISE_0995))
     mbar = report.parallel_resources ** (1.0 / 10.0)

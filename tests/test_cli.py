@@ -146,6 +146,38 @@ class TestRepeaterCommand:
         assert code == 2
         assert "mystery" in err
 
+    @pytest.mark.parametrize("file_values, flags, field", [
+        ({"N": 16.5}, (), "N"),
+        ({"N": True}, (), "N"),
+        ({"L": 2.0}, (), "L"),
+        ({"p2": True}, (), "p2"),
+        ({"f_work": "0.96"}, (), "f_work"),
+        ({"tau_op": False}, (), "tau_op"),
+        ({"segment_km": float("nan")}, (), "segment_km"),
+        ({"scheme": 2}, (), "scheme"),
+        (None, ("--tau-op", "nan"), "tau_op"),
+        (None, ("--signal-speed", "inf"), "signal_speed"),
+        (None, ("--segment-km", "inf"), "segment_km"),
+    ])
+    def test_config_values_checked_by_type_and_finiteness(self, tmp_path, capsys,
+                                                          file_values, flags, field):
+        argv = ["repeater", "--scheme", "B", "--N", "4", *flags]
+        if file_values is not None:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps(file_values))
+            argv = ["repeater", "--config", str(config)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and field in err
+
+    def test_config_accepts_integer_for_float_field(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"scheme": "B", "N": 4, "p1": 1, "f_work": 0.9}))
+        code, out, _ = run_cli(capsys, "repeater", "--config", str(config))
+        assert code == 0
+        assert json.loads(out)["noise"]["p1"] == 1.0
+
     def test_invalid_segment_count_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "repeater", "--scheme", "B", "--N", "12")
         assert code == 2

@@ -1,23 +1,18 @@
 import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrepeater.engine import (
     ProtocolConfig,
     TimingModel,
-    aux_fidelity_limit,
     average_pairs_per_level,
-    compute_time,
-    compute_time_aux,
     optimize_working_fidelity,
     simulate,
-    simulate_aux_scheme,
-    simulate_nested,
 )
 from qrepeater.errors import AuxPurificationError, InfeasibleError, ValidationError
-from qrepeater.maps import connect_chain
 from qrepeater.oracle import NoiseParams
-from qrepeater.states import WernerState
 
 NOISE = NoiseParams.uniform(0.995)
 
@@ -41,6 +36,12 @@ class TestConfig:
         with pytest.raises(ValidationError):
             TimingModel(tau_op=0.0)
 
+    def test_level_count_is_exact_at_large_depth(self):
+        assert make_config(n_segments=2 ** 60).n_levels == 60
+        assert make_config(n_segments=3 ** 30, length=3).n_levels == 30
+        with pytest.raises(ValidationError, match="not a power"):
+            make_config(n_segments=2 ** 60 + 1)
+
     def test_comm_time(self):
         timing = TimingModel(segment_km=10.0, signal_speed=2e5)
         assert timing.comm_time(1) == pytest.approx(5e-5)
@@ -49,7 +50,7 @@ class TestConfig:
 class TestSimulateNested:
     def test_single_level_reduction(self):
         config = make_config(n_segments=2)
-        report = simulate_nested(config)
+        report = simulate(config)
         assert report.n_levels == 1
         assert len(report.levels) == 1
         level = report.levels[0]
@@ -58,7 +59,7 @@ class TestSimulateNested:
 
     def test_final_fidelity_meets_working_target(self):
         for scheme in ("A", "B"):
-            report = simulate_nested(make_config(scheme=scheme, n_segments=64))
+            report = simulate(make_config(scheme=scheme, n_segments=64))
             assert report.final_fidelity >= report.f_work
             for level in report.levels:
                 assert level.fidelity_achieved >= report.f_work
@@ -66,22 +67,22 @@ class TestSimulateNested:
 
     def test_resource_identity_with_geometric_mean(self):
         # elementary pairs factor exactly as N^(log_L mbar + 1)
-        report = simulate_nested(make_config(scheme="B", n_segments=256))
+        report = simulate(make_config(scheme="B", n_segments=256))
         mbar = report.parallel_resources ** (1.0 / report.n_levels)
         predicted = report.n_segments ** (math.log(mbar, report.length) + 1.0)
         assert report.elementary_pairs == pytest.approx(predicted, rel=1e-9)
 
     def test_scheme_b_needs_fewer_copies_than_a(self):
-        rep_a = simulate_nested(make_config(scheme="A", n_segments=64))
-        rep_b = simulate_nested(make_config(scheme="B", n_segments=64))
+        rep_a = simulate(make_config(scheme="A", n_segments=64))
+        rep_b = simulate(make_config(scheme="B", n_segments=64))
         assert rep_b.parallel_resources < rep_a.parallel_resources
 
     def test_level_annotation_on_failure(self):
         # degrade gates until some level cannot recover the working fidelity
         bad = NoiseParams(1.0, 0.96, 1.0)
         with pytest.raises(InfeasibleError, match="level"):
-            simulate_nested(make_config(scheme="A", n_segments=256,
-                                        f_init=0.9, f_work=0.9, noise=bad))
+            simulate(make_config(scheme="A", n_segments=256,
+                                 f_init=0.9, f_work=0.9, noise=bad))
 
     def test_feasibility_monotone_in_noise(self):
         # succeeding at q keeps succeeding when every reliability improves
@@ -90,26 +91,64 @@ class TestSimulateNested:
         succeeded = False
         for noise in chain:
             try:
-                simulate_nested(make_config(scheme="B", n_segments=64,
-                                            f_init=0.93, f_work=0.93, noise=noise))
+                simulate(make_config(scheme="B", n_segments=64,
+                                     f_init=0.93, f_work=0.93, noise=noise))
                 succeeded = True
             except InfeasibleError:
                 assert not succeeded, "feasibility was lost as noise improved"
 
     def test_error_tolerance_levels(self):
         # completes at 1% errors; still completes at 3% with more copies
-        rep1 = simulate_nested(make_config(scheme="B", n_segments=64, f_init=0.93,
-                                           f_work=0.93, noise=NoiseParams.uniform(0.99)))
-        rep3 = simulate_nested(make_config(scheme="B", n_segments=64, f_init=0.93,
-                                           f_work=0.93, noise=NoiseParams.uniform(0.97)))
+        rep1 = simulate(make_config(scheme="B", n_segments=64, f_init=0.93,
+                                    f_work=0.93, noise=NoiseParams.uniform(0.99)))
+        rep3 = simulate(make_config(scheme="B", n_segments=64, f_init=0.93,
+                                    f_work=0.93, noise=NoiseParams.uniform(0.97)))
         assert rep3.parallel_resources > rep1.parallel_resources
+
+
+def _written_out_time(report):
+    """The build-time recurrence of the report's scheme, from its own step counts."""
+    timing = report.timing
+    t = timing.tau_pair
+    for level in report.levels:
+        round_time = timing.tau_op + timing.comm_time(level.span_segments)
+        if report.scheme == "C":
+            t_pair = t + round_time
+            t = t_pair + level.steps * (t_pair + round_time)
+        else:
+            t += (1 + level.steps) * round_time
+    return t
+
+
+class TestLevelLoop:
+    @given(scheme=st.sampled_from("ABC"), q=st.floats(0.99, 1.0),
+           f_work=st.floats(0.9, 0.97), n=st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_run_reports_consistently_or_names_its_level(self, scheme, q, f_work, n):
+        config = make_config(scheme=scheme, n_segments=2 ** n, f_init=f_work,
+                             f_work=f_work, noise=NoiseParams.uniform(q))
+        try:
+            report = simulate(config)
+        except InfeasibleError as exc:
+            match = re.match(r"level (\d+): ", str(exc))
+            assert match and 1 <= int(match[1]) <= n
+            if isinstance(exc, AuxPurificationError):
+                assert exc.level == int(match[1])
+            return
+        assert len(report.levels) == n
+        assert all(level.fidelity_achieved >= f_work for level in report.levels)
+        assert report.elementary_pairs == pytest.approx(
+            math.prod(2 * level.avg_pairs for level in report.levels), rel=1e-12)
+        if scheme == "C":
+            assert all(level.avg_pairs == 1 + level.steps for level in report.levels)
+        assert report.total_time == pytest.approx(_written_out_time(report), rel=1e-12)
 
 
 class TestTiming:
     def test_perfect_protocol_time_is_connection_rounds_only(self):
         config = make_config(scheme="A", n_segments=8, f_init=1.0, f_work=1.0,
                              noise=NoiseParams.perfect())
-        report = simulate_nested(config)
+        report = simulate(config)
         timing = config.timing
         expected = timing.tau_pair + sum(
             timing.tau_op + timing.comm_time(2 ** k) for k in (1, 2, 3))
@@ -117,23 +156,29 @@ class TestTiming:
         assert all(level.steps == 0 for level in report.levels)
 
     def test_compute_time_accounting(self):
-        config = make_config(n_segments=4)
-        timing = config.timing
+        # parallel copies: one connection round plus one round per step
+        report = simulate(make_config(n_segments=4))
+        m1, m2 = (level.steps for level in report.levels)
+        assert m1 > 0 and m2 > 0
+        timing = report.timing
         expected = (timing.tau_pair
-                    + (1 + 2) * (timing.tau_op + timing.comm_time(2))
-                    + (1 + 1) * (timing.tau_op + timing.comm_time(4)))
-        assert compute_time(config, [2, 1]) == pytest.approx(expected)
+                    + (1 + m1) * (timing.tau_op + timing.comm_time(2))
+                    + (1 + m2) * (timing.tau_op + timing.comm_time(4)))
+        assert report.total_time == pytest.approx(expected, rel=1e-15)
 
     def test_compute_time_aux_accounting(self):
-        config = make_config(scheme="C", n_segments=4)
-        timing = config.timing
+        # scheme C: every pumping step re-creates its pair through the lower levels
+        report = simulate(make_config(scheme="C", n_segments=4, f_init=0.97))
+        m1, m2 = (level.steps for level in report.levels)
+        assert m1 > 0 and m2 > 0
+        timing = report.timing
         round1 = timing.tau_op + timing.comm_time(2)
         round2 = timing.tau_op + timing.comm_time(4)
         t_pair1 = timing.tau_pair + round1
-        t_level1 = t_pair1 + 2 * (t_pair1 + round1)
+        t_level1 = t_pair1 + m1 * (t_pair1 + round1)
         t_pair2 = t_level1 + round2
-        t_level2 = t_pair2 + 1 * (t_pair2 + round2)
-        assert compute_time_aux(config, [2, 1]) == pytest.approx(t_level2)
+        t_level2 = t_pair2 + m2 * (t_pair2 + round2)
+        assert report.total_time == pytest.approx(t_level2, rel=1e-15)
 
 
 class TestSchemeC:
@@ -155,18 +200,21 @@ class TestSchemeC:
     def test_bennett_variant_fails_condition(self):
         config = make_config(scheme="C", n_segments=256, f_init=0.97, f_work=0.96)
         with pytest.raises(AuxPurificationError) as excinfo:
-            simulate_aux_scheme(config, protocol="bennett")
+            simulate(config, protocol="bennett")
         assert excinfo.value.level == 1
+
+    def test_unknown_protocol_rejected(self):
+        with pytest.raises(ValidationError, match="protocol"):
+            simulate(make_config(scheme="C", f_init=0.97), protocol="magic")
 
     def test_pumping_ceiling_below_marginal_target(self):
         # with elementary pairs exactly at the working fidelity the pumping
         # attractor sits just below 0.96, so the run must be rejected
-        aux = connect_chain([WernerState(0.96).to_bell_diagonal()] * 2, NOISE)
-        limit = aux_fidelity_limit(aux, NOISE, "deutsch")
-        assert 0.955 < limit < 0.96
         config = make_config(scheme="C", n_segments=16, f_init=0.96, f_work=0.96)
-        with pytest.raises(AuxPurificationError):
+        with pytest.raises(AuxPurificationError, match="^level 1: ") as excinfo:
             simulate(config)
+        stalled = float(re.search(r"stalls at fidelity ([0-9.]+)", str(excinfo.value))[1])
+        assert 0.955 < stalled < 0.96
 
     def test_resources_grow_linearly_in_levels(self):
         particles = []
@@ -210,6 +258,6 @@ class TestOptimize:
 
     def test_average_pairs_matches_report(self):
         m_avg = average_pairs_per_level(2, NOISE, "deutsch", 0.95, n_levels=6)
-        report = simulate_nested(make_config(scheme="B", n_segments=64,
-                                             f_init=0.95, f_work=0.95))
+        report = simulate(make_config(scheme="B", n_segments=64,
+                                      f_init=0.95, f_work=0.95))
         assert m_avg == pytest.approx(report.parallel_resources ** (1 / 6))

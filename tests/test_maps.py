@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from qrepeater import maps
 from qrepeater import oracle as orc
+from qrepeater.engine import ProtocolConfig, simulate
 from qrepeater.errors import (
     BelowThresholdError,
     PurificationImpossibleError,
@@ -118,7 +119,7 @@ class TestOracleEquivalence:
                 for eta in (1.0, 0.995, 0.97):
                     noise = NoiseParams(1.0, p2, eta)
                     p_succ, out = orc.oracle_purify(s1, s2, noise, "deutsch")
-                    ref, out_cf = maps.purify_deutsch(s1, s2, noise)
+                    ref, out_cf = maps.purify_with_aux(s1, s2, noise, "deutsch")
                     worst = max(worst, abs(p_succ - ref.p_succ))
                     worst = max(worst, max(
                         abs(a - b) for a, b in zip(out.coeffs, out_cf.coeffs)))
@@ -172,14 +173,14 @@ class TestPurifyBennett:
 class TestPurifyDeutsch:
     def test_perfect_pairs(self):
         perfect = BellDiagonalState((1.0, 0.0, 0.0, 0.0))
-        outcome, out = maps.purify_deutsch(perfect, perfect, PERFECT)
+        outcome, out = maps.purify_with_aux(perfect, perfect, PERFECT, "deutsch")
         assert out.coeffs == (1.0, 0.0, 0.0, 0.0)
         assert outcome.p_succ == pytest.approx(1.0, abs=1e-15)
 
     def test_noiseless_werner_recursion_exact(self):
         # Werner 0.8 gives the rational image (145, 24, 2, 2)/173, p = 173/225
         state = WernerState(0.8).to_bell_diagonal()
-        outcome, out = maps.purify_deutsch(state, state, PERFECT)
+        outcome, out = maps.purify_with_aux(state, state, PERFECT, "deutsch")
         assert out.coeffs[0] == pytest.approx(145 / 173, abs=1e-14)
         assert out.coeffs[1] == pytest.approx(24 / 173, abs=1e-14)
         assert out.coeffs[2] == pytest.approx(2 / 173, abs=1e-14)
@@ -189,8 +190,8 @@ class TestPurifyDeutsch:
     def test_faster_than_bennett_under_noise(self):
         noise = NoiseParams.uniform(0.995)
         state = WernerState(0.9).to_bell_diagonal()
-        _, out1 = maps.purify_deutsch(state, state, noise)
-        outcome2, _ = maps.purify_deutsch(out1, out1, noise)
+        _, out1 = maps.purify_with_aux(state, state, noise, "deutsch")
+        outcome2, _ = maps.purify_with_aux(out1, out1, noise, "deutsch")
         f_b = maps.purify_bennett(0.9, noise).out_fidelity
         f_b2 = maps.purify_bennett(f_b, noise).out_fidelity
         assert outcome2.out_fidelity > f_b2
@@ -198,11 +199,16 @@ class TestPurifyDeutsch:
 
 class TestPurifyWithAux:
     def test_aux_equals_target_reduces_to_symmetric(self):
+        # one pumping step with aux == target is one step on parallel copies
         noise = NoiseParams.uniform(0.99)
         state = BellDiagonalState((0.9, 0.06, 0.025, 0.015))
-        sym = maps.purify_deutsch(state, state, noise)
-        asym = maps.purify_with_aux(state, state, noise, "deutsch")
-        assert sym == asym
+        parallel = maps._purify_until(state, 0.905, noise, "deutsch")
+        pumped = maps._purify_until(state, 0.905, noise, "deutsch", aux=state)
+        assert len(parallel.steps) == len(pumped.steps) == 1
+        assert parallel.steps == pumped.steps
+        assert parallel.final_state == pumped.final_state
+        assert parallel.avg_pairs == 2.0 / parallel.steps[0][1]
+        assert pumped.avg_pairs == 2.0
 
     def test_perfect_aux_never_reduces_werner_fidelity(self):
         perfect = BellDiagonalState((1.0, 0.0, 0.0, 0.0))
@@ -262,41 +268,55 @@ class TestFixedPoints:
         assert feasible and min(feasible) == pytest.approx(0.95, abs=1e-9)
 
 
+def one_level_run(scheme, working_fidelity, length, noise):
+    """Connect ``length`` pairs at the working fidelity and purify back up to it."""
+    return simulate(ProtocolConfig(n_segments=length, length=length, scheme=scheme,
+                                   f_init=working_fidelity, f_work=working_fidelity,
+                                   noise=noise)).levels[0]
+
+
+def werner_connected(working_fidelity, length, noise):
+    return WernerState(maps.connect_L(working_fidelity, length, noise)).to_bell_diagonal()
+
+
 class TestStaircase:
     def test_perfect_noise_at_unity_needs_no_steps(self):
-        trace = maps.staircase(1.0, 2, PERFECT, "bennett")
-        assert trace.m_max == 0
-        assert trace.avg_pairs == 1.0
-        assert trace.achieved_fidelity == 1.0
+        for scheme in ("A", "B"):
+            level = one_level_run(scheme, 1.0, 2, PERFECT)
+            assert level.steps == 0
+            assert level.avg_pairs == 1.0
+            assert level.fidelity_achieved == 1.0
 
     @pytest.mark.parametrize("protocol", ["bennett", "deutsch"])
     def test_fidelities_strictly_increase(self, protocol):
         noise = NoiseParams.uniform(0.995)
-        trace = maps.staircase(0.94, 2, noise, protocol)
+        trace = maps._purify_until(werner_connected(0.94, 2, noise), 0.94, noise, protocol)
         fids = [f for f, _ in trace.steps]
+        assert len(fids) >= 2
         assert all(a < b for a, b in zip(fids, fids[1:]))
-        assert trace.achieved_fidelity >= 0.94
+        assert trace.final_state.fidelity == fids[-1] >= 0.94
 
     def test_avg_pairs_bounded_by_two_to_steps(self):
         noise = NoiseParams.uniform(0.995)
-        for f_work in (0.9, 0.94, 0.96):
-            trace = maps.staircase(f_work, 2, noise, "bennett")
-            assert trace.avg_pairs >= 2 ** trace.m_max
+        for scheme in ("A", "B"):
+            for f_work in (0.9, 0.94, 0.96):
+                level = one_level_run(scheme, f_work, 2, noise)
+                assert level.avg_pairs >= 2 ** level.steps
 
     def test_below_threshold_error(self):
         # p2 = 0.96 keeps fixed points but a long chain drops below f_min
         noise = NoiseParams(1.0, 0.96, 1.0)
-        with pytest.raises(BelowThresholdError):
-            maps.staircase(0.85, 16, noise)
+        with pytest.raises(BelowThresholdError, match="^level 1: "):
+            one_level_run("A", 0.85, 16, noise)
 
     def test_unreachable_working_fidelity(self):
         noise = NoiseParams(1.0, 0.97, 1.0)  # attractor near 0.915
-        with pytest.raises(WorkingFidelityUnreachableError):
-            maps.staircase(0.95, 2, noise)
+        with pytest.raises(WorkingFidelityUnreachableError, match="^level 1: "):
+            one_level_run("A", 0.95, 2, noise)
 
     def test_deutsch_staircase_carries_state(self):
         noise = NoiseParams.uniform(0.995)
-        trace = maps.staircase(0.96, 2, noise, "deutsch")
+        trace = maps._purify_until(werner_connected(0.96, 2, noise), 0.96, noise, "deutsch")
         # non-Werner output: phase-flip coefficient dominates the tail
         assert trace.final_state.coeffs[1] > trace.final_state.coeffs[2]
-        assert trace.m_max == 2
+        assert len(trace.steps) == 2
