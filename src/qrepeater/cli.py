@@ -9,28 +9,27 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from . import maps
-from .engine import (
-    ProtocolConfig,
-    RepeaterReport,
-    TimingModel,
-    average_pairs_per_level,
-    simulate,
-)
+from .engine import ProtocolConfig, TimingModel, optimize_working_fidelity, simulate
 from .errors import InfeasibleError, ValidationError
-from .oracle import NoiseParams, oracle_connect, oracle_purify
-from .states import BellDiagonalState, WernerState
+from .oracle import closed_form_deviations
+from .states import NoiseParams, WernerState
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
+
+#: Most points a --grid may have, checked before any point is built.
+_MAX_GRID_POINTS = 100_000
+#: Most nesting levels sweep-m accepts, checked before L ** levels is formed;
+#: ProtocolConfig rejects segment counts beyond float range on its own.
+_MAX_LEVELS = 1_000
 
 
 def _fmt(x) -> str:
@@ -45,9 +44,14 @@ def _parse_grid(spec: str) -> list[float]:
         start, stop, step = (float(part) for part in spec.split(":"))
     except ValueError:
         raise ValidationError(f"grid must be 'start:stop:step', got {spec!r}")
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValidationError(f"grid {spec!r} must have finite start, stop and step")
     if step <= 0 or stop < start:
         raise ValidationError(f"bad grid {spec!r}")
-    n = int(round((stop - start) / step))
+    span = (stop - start) / step
+    if span + 1 > _MAX_GRID_POINTS:
+        raise ValidationError(f"grid {spec!r} has more than {_MAX_GRID_POINTS} points")
+    n = int(round(span))
     points = [start + i * step for i in range(n + 1)]
     return [p for p in points if p <= stop + step * 1e-9]
 
@@ -84,12 +88,10 @@ def _table(header: list[str], rows: list[tuple], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _add_noise_flags(parser, defaults=(1.0, 1.0, 1.0)):
-    parser.add_argument("--p1", type=float, default=defaults[0],
-                        help="one-qubit gate reliability")
-    parser.add_argument("--p2", type=float, default=defaults[1],
-                        help="two-qubit gate reliability")
-    parser.add_argument("--eta", type=float, default=defaults[2],
+def _add_noise_flags(parser):
+    parser.add_argument("--p1", type=float, default=1.0, help="one-qubit gate reliability")
+    parser.add_argument("--p2", type=float, default=1.0, help="two-qubit gate reliability")
+    parser.add_argument("--eta", type=float, default=1.0,
                         help="measurement projection quality")
 
 
@@ -134,16 +136,16 @@ def cmd_fixed_points(args) -> int:
 def cmd_sweep_m(args) -> int:
     noise_values = _parse_float_list(args.noise_list)
     grid = _parse_grid(args.grid)
+    if args.levels > _MAX_LEVELS:
+        raise ValidationError(f"--levels must be at most {_MAX_LEVELS}, got {args.levels}")
     rows = []
     for q in noise_values:
-        noise = NoiseParams.uniform(q)
-        for f in grid:
-            try:
-                m_value = average_pairs_per_level(args.L, noise, args.protocol, f,
-                                                  n_levels=args.levels)
-            except InfeasibleError:
-                continue
-            rows.append((q, f, m_value))
+        try:
+            result = optimize_working_fidelity(args.L, NoiseParams.uniform(q), args.protocol,
+                                               grid, n_levels=args.levels)
+        except InfeasibleError:
+            continue  # no feasible point at this noise value
+        rows.extend((q, f, m_value) for f, m_value in result.curve)
     _write_output(args, _table(["noise", "working_fidelity", "avg_pairs_per_level"],
                                rows, args.format))
     return EXIT_OK
@@ -202,17 +204,10 @@ def _config_from_args(args) -> ProtocolConfig:
     )
 
 
-def _report_payload(report: RepeaterReport) -> dict:
-    payload = asdict(report)
-    payload["levels"] = [asdict(rec) for rec in report.levels]
-    return payload
-
-
 def cmd_repeater(args) -> int:
     report = simulate(_config_from_args(args), protocol=args.purifier)
-    payload = _report_payload(report)
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n"
+        text = json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
     else:
         rows = [(rec.level, rec.span_segments, rec.fidelity_in, rec.fidelity_connected,
                  rec.fidelity_achieved, rec.steps, rec.avg_pairs)
@@ -232,45 +227,7 @@ def cmd_repeater(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    fidelities = (0.55, 0.7, 0.85, 0.97)
-    values = (1.0, 0.995, 0.99, 0.97)
-    perturb = args.perturb
-
-    worst_connect = 0.0
-    worst_pf = 0.0
-    worst_pp = 0.0
-    for f in fidelities:
-        werner = WernerState(f).to_bell_diagonal()
-        for p1 in values:
-            for p2 in values:
-                for eta in values:
-                    noise = NoiseParams(p1, p2, eta)
-                    got = oracle_connect(werner, werner, noise).fidelity
-                    want = maps.connect_L(f, 2, noise) + perturb
-                    worst_connect = max(worst_connect, abs(got - want))
-        for p2 in values:
-            for eta in values:
-                noise = NoiseParams(1.0, p2, eta)
-                p_succ, out = oracle_purify(werner, werner, noise, "bennett")
-                ref = maps.purify_bennett(f, noise)
-                worst_pf = max(worst_pf, abs(out.fidelity - ref.out_fidelity - perturb))
-                worst_pp = max(worst_pp, abs(p_succ - ref.p_succ))
-
-    worst_deutsch = 0.0
-    rng = np.random.default_rng(20240817)
-    for _ in range(8):
-        v1 = rng.random(4)
-        v2 = rng.random(4)
-        s1 = BellDiagonalState(tuple(v1 / v1.sum()))
-        s2 = BellDiagonalState(tuple(v2 / v2.sum()))
-        for p2 in (1.0, 0.995, 0.97):
-            for eta in (1.0, 0.995, 0.97):
-                noise = NoiseParams(1.0, p2, eta)
-                p_succ, out = oracle_purify(s1, s2, noise, "deutsch")
-                ref, out_cf = maps.purify_with_aux(s1, s2, noise, "deutsch")
-                dev = max(abs(a - b) for a, b in zip(out.coeffs, out_cf.coeffs))
-                worst_deutsch = max(worst_deutsch, dev, abs(p_succ - ref.p_succ))
-
+    worst_connect, worst_pf, worst_pp, worst_deutsch = closed_form_deviations(args.perturb)
     print(f"connection fidelity     max |closed form - oracle| = {worst_connect:.3e}")
     print(f"purification fidelity   max |closed form - oracle| = {worst_pf:.3e}")
     print(f"purification p_succ     max |closed form - oracle| = {worst_pp:.3e}")

@@ -25,13 +25,13 @@ elementary-pair count ``prod(L * M_k)``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import AuxPurificationError, InfeasibleError, ValidationError
 from .maps import _purify_until, connect_chain, connect_L
-from .oracle import NoiseParams
-from .states import WernerState
+from .states import NoiseParams, WernerState
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,10 @@ class ProtocolConfig:
         if self.n_segments < self.length:
             raise ValidationError(
                 f"need at least {self.length} segments, got {self.n_segments}"
+            )
+        if self.n_segments > sys.float_info.max:
+            raise ValidationError(
+                f"segment count N exceeds float range (at most {sys.float_info.max:.6g})"
             )
         if self.length ** self.n_levels != self.n_segments:
             raise ValidationError(
@@ -206,6 +210,10 @@ def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterRep
             total_time = t_pair + steps * (t_pair + round_time)
         else:
             total_time += (1 + steps) * round_time
+        # parallel_resources never exceeds elementary_pairs, so it stays finite with it
+        for name, value in (("elementary_pairs", pairs), ("total_time", total_time)):
+            if not math.isfinite(value):
+                raise ValidationError(f"level {level}: {name} exceeds float range")
         state = trace.final_state
 
     return RepeaterReport(

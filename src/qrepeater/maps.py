@@ -25,8 +25,7 @@ from .errors import (
     ValidationError,
     WorkingFidelityUnreachableError,
 )
-from .oracle import NoiseParams
-from .states import BellDiagonalState, WernerState
+from .states import BellDiagonalState, NoiseParams, WernerState
 
 _PSUCC_EPS = 1e-15
 _GAIN_EPS = 1e-13

@@ -11,20 +11,21 @@ analytic layer models in closed form:
   variant) with post-selection on coinciding apparatus readings.
 
 The closed-form maps in :mod:`qrepeater.maps` are required to agree with
-these routines to 1e-12; the test suite enforces that on a parameter grid.
+these routines to 1e-12; ``closed_form_deviations`` measures that on the
+grid behind ``qrepeater oracle-check`` and acceptance criterion 1.  This is
+the only module that needs numpy, and nothing else in the package imports it
+except the command line.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from . import maps
 from .errors import DegeneratePostSelectionError, ValidationError
-from .states import BellDiagonalState
+from .states import BellDiagonalState, NoiseParams, WernerState
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 CNOT = np.array(
@@ -49,42 +50,21 @@ _PROJ = (
 _BRANCH_EPS = 1e-15
 
 
-@dataclass(frozen=True)
-class NoiseParams:
-    """Reliability parameters of the imperfect-operation model.
-
-    p1, p2 are the one- and two-qubit gate reliabilities in [0, 1]; eta is
-    the quality of the readout projection in [1/2, 1].
-    """
-
-    p1: float = 1.0
-    p2: float = 1.0
-    eta: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.p1 <= 1.0:
-            raise ValidationError(f"p1 must lie in [0, 1], got {self.p1!r}")
-        if not 0.0 <= self.p2 <= 1.0:
-            raise ValidationError(f"p2 must lie in [0, 1], got {self.p2!r}")
-        if not 0.5 <= self.eta <= 1.0:
-            raise ValidationError(f"eta must lie in [0.5, 1], got {self.eta!r}")
-
-    @classmethod
-    def perfect(cls) -> "NoiseParams":
-        return cls(1.0, 1.0, 1.0)
-
-    @classmethod
-    def uniform(cls, q: float) -> "NoiseParams":
-        """All three reliabilities set to the same value."""
-        return cls(q, q, q)
-
-
 def _num_qubits(rho: np.ndarray) -> int:
     dim = rho.shape[0]
     n = dim.bit_length() - 1
     if rho.shape != (dim, dim) or 2 ** n != dim:
         raise ValidationError(f"density matrix shape {rho.shape} is not a power of two")
     return n
+
+
+def _to_register_order(op: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+    """Permute an operator on (targets..., rest...) into register order."""
+    n = _num_qubits(op)
+    order = list(targets) + [q for q in range(n) if q not in targets]
+    perm = [order.index(q) for q in range(n)]
+    tensor = op.reshape((2,) * (2 * n)).transpose(perm + [n + p for p in perm])
+    return tensor.reshape(op.shape)
 
 
 def embed(op: np.ndarray, n_qubits: int, targets: tuple[int, ...]) -> np.ndarray:
@@ -100,14 +80,8 @@ def embed(op: np.ndarray, n_qubits: int, targets: tuple[int, ...]) -> np.ndarray
     for t in targets:
         if not 0 <= t < n_qubits:
             raise ValidationError(f"qubit index {t} out of range for {n_qubits} qubits")
-    rest = [q for q in range(n_qubits) if q not in targets]
     full = np.kron(op, np.eye(2 ** (n_qubits - k), dtype=complex))
-    # full acts on (targets..., rest...); permute its axes into register order
-    axis_of_qubit = {q: i for i, q in enumerate(list(targets) + rest)}
-    perm = [axis_of_qubit[q] for q in range(n_qubits)]
-    tensor = full.reshape((2,) * (2 * n_qubits))
-    tensor = tensor.transpose(perm + [n_qubits + p for p in perm])
-    return tensor.reshape(2 ** n_qubits, 2 ** n_qubits)
+    return _to_register_order(full, targets)
 
 
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
@@ -136,12 +110,7 @@ def _mix_targets(rho: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     reduced = partial_trace(rho, rest)
     k = len(targets)
     mixed = np.kron(np.eye(2 ** k, dtype=complex) / 2 ** k, reduced)
-    # mixed currently acts on (targets..., rest...); permute into register order
-    axis_of_qubit = {q: i for i, q in enumerate(list(targets) + list(rest))}
-    perm = [axis_of_qubit[q] for q in range(n)]
-    tensor = mixed.reshape((2,) * (2 * n))
-    tensor = tensor.transpose(perm + [n + p for p in perm])
-    return tensor.reshape(rho.shape)
+    return _to_register_order(mixed, targets)
 
 
 def apply_noisy_one_qubit(rho: np.ndarray, gate: np.ndarray, target: int,
@@ -166,13 +135,6 @@ def apply_noisy_two_qubit(rho: np.ndarray, gate: np.ndarray,
     return p2 * ideal + (1.0 - p2) * _mix_targets(ideal, targets)
 
 
-def povm_elements(eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Single-qubit readout POVM with projection quality eta (sums to identity exactly)."""
-    p0 = eta * _PROJ[0] + (1.0 - eta) * _PROJ[1]
-    p1 = eta * _PROJ[1] + (1.0 - eta) * _PROJ[0]
-    return p0, p1
-
-
 def noisy_measure(rho: np.ndarray, target: int, eta: float):
     """Imperfect computational-basis readout of one qubit.
 
@@ -194,21 +156,16 @@ def noisy_measure(rho: np.ndarray, target: int, eta: float):
     return branches
 
 
-def bell_vectors() -> np.ndarray:
-    """The four Bell kets as columns, in the package-wide ordering."""
-    s = 1.0 / np.sqrt(2.0)
-    return np.array(
-        [
-            [s, s, 0.0, 0.0],
-            [0.0, 0.0, s, s],
-            [0.0, 0.0, s, -s],
-            [s, -s, 0.0, 0.0],
-        ],
-        dtype=complex,
-    )
-
-
-_BELL = bell_vectors()
+#: The four Bell kets as columns, in the package-wide ordering.
+_BELL = np.array(
+    [
+        [1.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 1.0],
+        [0.0, 0.0, 1.0, -1.0],
+        [1.0, -1.0, 0.0, 0.0],
+    ],
+    dtype=complex,
+) / np.sqrt(2.0)
 
 
 def bell_diagonal_to_dm(state: BellDiagonalState) -> np.ndarray:
@@ -335,3 +292,49 @@ def oracle_purify(kept: BellDiagonalState, sacrificed: BellDiagonalState,
     reduced = partial_trace(kept_sum / p_succ, (0, 1))
     coeffs = bell_coefficients(reduced)
     return p_succ, BellDiagonalState(tuple(coeffs))
+
+
+def closed_form_deviations(perturb: float) -> tuple[float, float, float, float]:
+    """Worst ``|closed form - oracle|`` on the check grid.
+
+    Returns the maxima for connection fidelity, twirl-based purification
+    fidelity, its ``p_succ``, and the rotation-based map (all four
+    coefficients and ``p_succ``) on seeded random Bell-diagonal pairs.
+    ``perturb`` is added to the closed-form fidelities of the first two, so
+    a moved map can be shown to fail the check.
+    """
+    fidelities = (0.55, 0.7, 0.85, 0.97)
+    values = (1.0, 0.995, 0.99, 0.97)
+    worst_connect = worst_pf = worst_pp = 0.0
+    for f in fidelities:
+        werner = WernerState(f).to_bell_diagonal()
+        for p1 in values:
+            for p2 in values:
+                for eta in values:
+                    noise = NoiseParams(p1, p2, eta)
+                    got = oracle_connect(werner, werner, noise).fidelity
+                    want = maps.connect_L(f, 2, noise) + perturb
+                    worst_connect = max(worst_connect, abs(got - want))
+        for p2 in values:
+            for eta in values:
+                noise = NoiseParams(1.0, p2, eta)
+                p_succ, out = oracle_purify(werner, werner, noise, "bennett")
+                ref = maps.purify_bennett(f, noise)
+                worst_pf = max(worst_pf, abs(out.fidelity - ref.out_fidelity - perturb))
+                worst_pp = max(worst_pp, abs(p_succ - ref.p_succ))
+
+    worst_deutsch = 0.0
+    rng = np.random.default_rng(20240817)
+    for _ in range(8):
+        v1 = rng.random(4)
+        v2 = rng.random(4)
+        s1 = BellDiagonalState(tuple(v1 / v1.sum()))
+        s2 = BellDiagonalState(tuple(v2 / v2.sum()))
+        for p2 in (1.0, 0.995, 0.97):
+            for eta in (1.0, 0.995, 0.97):
+                noise = NoiseParams(1.0, p2, eta)
+                p_succ, out = oracle_purify(s1, s2, noise, "deutsch")
+                ref, out_cf = maps.purify_with_aux(s1, s2, noise, "deutsch")
+                dev = max(abs(a - b) for a, b in zip(out.coeffs, out_cf.coeffs))
+                worst_deutsch = max(worst_deutsch, dev, abs(p_succ - ref.p_succ))
+    return worst_connect, worst_pf, worst_pp, worst_deutsch

@@ -10,6 +10,9 @@ A fixed Bell-basis ordering is used everywhere in this package:
 With this ordering the index of a Bell state is a two-bit label
 (bit 0 = phase flip, bit 1 = bit flip) and composing flips is XOR on
 indices, which the connection algebra in :mod:`qrepeater.maps` relies on.
+
+``NoiseParams`` holds the reliabilities of the imperfect operations that
+act on these states; the closed forms and the oracle share it.
 """
 from __future__ import annotations
 
@@ -81,3 +84,32 @@ class BellDiagonalState:
     def fidelity(self) -> float:
         return self.coeffs[0]
 
+
+@dataclass(frozen=True)
+class NoiseParams:
+    """Reliability parameters of the imperfect-operation model.
+
+    p1, p2 are the one- and two-qubit gate reliabilities in [0, 1]; eta is
+    the quality of the readout projection in [1/2, 1].
+    """
+
+    p1: float = 1.0
+    p2: float = 1.0
+    eta: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.p1 <= 1.0:
+            raise ValidationError(f"p1 must lie in [0, 1], got {self.p1!r}")
+        if not 0.0 <= self.p2 <= 1.0:
+            raise ValidationError(f"p2 must lie in [0, 1], got {self.p2!r}")
+        if not 0.5 <= self.eta <= 1.0:
+            raise ValidationError(f"eta must lie in [0.5, 1], got {self.eta!r}")
+
+    @classmethod
+    def perfect(cls) -> "NoiseParams":
+        return cls(1.0, 1.0, 1.0)
+
+    @classmethod
+    def uniform(cls, q: float) -> "NoiseParams":
+        """All three reliabilities set to the same value."""
+        return cls(q, q, q)

@@ -20,8 +20,7 @@ from qrepeater.engine import (
     simulate,
 )
 from qrepeater.errors import AuxPurificationError
-from qrepeater.oracle import NoiseParams
-from qrepeater.states import WernerState
+from qrepeater.states import NoiseParams, WernerState
 
 NOISE_0995 = NoiseParams.uniform(0.995)
 PERFECT = NoiseParams.perfect()
@@ -40,26 +39,8 @@ def _line(name: str, ok: bool, detail: str) -> bool:
 
 def test_criterion_1_oracle_equivalence():
     start = time.monotonic()
-    values = (1.0, 0.995, 0.99, 0.97)
-    worst_connect = worst_pf = worst_pp = 0.0
-    for f in (0.55, 0.7, 0.85, 0.97):
-        werner = WernerState(f).to_bell_diagonal()
-        for p1 in values:
-            for p2 in values:
-                for eta in values:
-                    noise = NoiseParams(p1, p2, eta)
-                    got = orc.oracle_connect(werner, werner, noise).fidelity
-                    worst_connect = max(
-                        worst_connect, abs(got - maps.connect_L(f, 2, noise)))
-        for p2 in values:
-            for eta in values:
-                noise = NoiseParams(1.0, p2, eta)
-                p_succ, out = orc.oracle_purify(werner, werner, noise, "bennett")
-                ref = maps.purify_bennett(f, noise)
-                worst_pf = max(worst_pf, abs(out.fidelity - ref.out_fidelity))
-                worst_pp = max(worst_pp, abs(p_succ - ref.p_succ))
+    worst = max(orc.closed_form_deviations(0.0))
     elapsed = time.monotonic() - start
-    worst = max(worst_connect, worst_pf, worst_pp)
     ok = worst <= 1e-12 and elapsed < 10.0
     assert _line("criterion 1 (oracle equivalence)", ok,
                  f"max deviation {worst:.2e} (<=1e-12), runtime {elapsed:.1f}s (<10s)")

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+NOISE = ("--p1", "0.995", "--p2", "0.995", "--eta", "0.995")
+
 from qrepeater.cli import main
 
 
@@ -37,6 +39,19 @@ class TestConnectCurve:
         row = out.strip().split("\n")[1].split("\t")
         assert float(row[1]) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("grid", [
+        "nan:1:0.1",
+        "0.5:inf:0.1",
+        # 0.5 / 5e-6 steps make 100001 points, one over the cap; without the
+        # cap this grid would still build only those points
+        "0.5:1.0:0.000005",
+    ])
+    def test_non_finite_or_oversized_grid_rejected(self, capsys, grid):
+        code, out, err = run_cli(capsys, "connect-curve", "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestPurifyCurve:
     def test_noiseless_fixed_points_on_curve(self, capsys):
@@ -48,7 +63,7 @@ class TestPurifyCurve:
 
     def test_emits_success_probability_column(self, capsys):
         from qrepeater.maps import purify_bennett
-        from qrepeater.oracle import NoiseParams
+        from qrepeater.states import NoiseParams
 
         code, out, _ = run_cli(capsys, "purify-curve", "--grid", "0.8:0.9:0.05",
                                "--p2", "0.995", "--eta", "0.995")
@@ -104,6 +119,21 @@ class TestSweepM:
         for f in fs:
             column = [table[(q, f)] for q in (1.0, 0.9975, 0.995) if (q, f) in table]
             assert all(a <= b + 1e-9 for a, b in zip(column, column[1:]))
+
+    def test_noise_value_without_feasible_point_emits_no_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep-m", "--protocol", "bennett",
+                               "--noise-list", "0.97,0.995", "--grid", "0.9:0.94:0.02",
+                               "--levels", "4")
+        assert code == 0
+        noise_values = {line.split("\t")[0] for line in out.strip().split("\n")[1:]}
+        assert noise_values == {"0.995"}
+
+    def test_levels_bounded_before_segment_count_is_formed(self, capsys):
+        code, out, err = run_cli(capsys, "sweep-m", "--levels", "2000",
+                                 "--grid", "0.95:0.95:0.01")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--levels" in err
 
     def test_perfect_noise_minimum_one(self, capsys):
         code, out, _ = run_cli(capsys, "sweep-m", "--protocol", "deutsch",
@@ -182,6 +212,20 @@ class TestRepeaterCommand:
         code, _, err = run_cli(capsys, "repeater", "--scheme", "B", "--N", "12")
         assert code == 2
         assert "error" in err
+
+    def test_segment_count_beyond_float_range_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "repeater", "--scheme", "B", "--N", str(2 ** 1100))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "segment count N" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_totals_beyond_float_range_rejected(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "repeater", "--scheme", "A", "--N", str(2 ** 400),
+                                 *NOISE, "--f-work", "0.94", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: level ") and "elementary_pairs" in err
 
     def test_scheme_c_bennett_variant_documented_failure(self, capsys):
         code, _, err = run_cli(capsys, "repeater", "--scheme", "C", "--N", "16",

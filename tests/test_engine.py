@@ -1,9 +1,13 @@
 import math
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qrepeater
 from qrepeater.engine import (
     ProtocolConfig,
     TimingModel,
@@ -12,7 +16,7 @@ from qrepeater.engine import (
     simulate,
 )
 from qrepeater.errors import AuxPurificationError, InfeasibleError, ValidationError
-from qrepeater.oracle import NoiseParams
+from qrepeater.states import NoiseParams
 
 NOISE = NoiseParams.uniform(0.995)
 
@@ -261,3 +265,13 @@ class TestOptimize:
         report = simulate(make_config(scheme="B", n_segments=64,
                                       f_init=0.95, f_work=0.95))
         assert m_avg == pytest.approx(report.parallel_resources ** (1 / 6))
+
+
+def test_analytic_layers_load_without_numpy_or_oracle():
+    # the closed forms and the engine stay importable without the dense oracle
+    src = str(pathlib.Path(qrepeater.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import qrepeater.engine, qrepeater.maps; "
+            "print(sorted({'numpy', 'qrepeater.oracle'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True)
+    assert result.stdout == "[]\n"

@@ -11,12 +11,22 @@ from qrepeater.errors import (
     ValidationError,
     WorkingFidelityUnreachableError,
 )
-from qrepeater.oracle import NoiseParams
-from qrepeater.states import BellDiagonalState, WernerState
+from qrepeater.states import BellDiagonalState, NoiseParams, WernerState
 
 PERFECT = NoiseParams.perfect()
 GRID_VALUES = (1.0, 0.995, 0.99, 0.97)
 GRID_FIDELITIES = (0.55, 0.7, 0.85, 0.97)
+
+
+def bell_states(min_weight=0.0):
+    """Random Bell-diagonal states: four weights normalized to unit sum."""
+    weights = st.lists(st.floats(min_weight, 1.0), min_size=4, max_size=4)
+    return weights.filter(lambda w: sum(w) > 0.0).map(
+        lambda w: BellDiagonalState(tuple(x / sum(w) for x in w)))
+
+
+noise_params = st.builds(NoiseParams, st.floats(0.5, 1.0), st.floats(0.5, 1.0),
+                         st.floats(0.5, 1.0))
 
 
 def eq_modified_bennett(f, eta, p2):
@@ -138,6 +148,24 @@ class TestOracleEquivalence:
                 worst = max(worst, max(
                     abs(a - b) for a, b in zip(got.coeffs, want.coeffs)))
         assert worst <= 1e-12
+
+    @given(bell_states(), bell_states(), noise_params)
+    @settings(max_examples=50, deadline=None)
+    def test_connect_states_matches_untwirled_oracle_on_random_inputs(self, s1, s2, noise):
+        got = orc.oracle_connect(s1, s2, noise, twirl_output=False)
+        want = maps.connect_states(s1, s2, noise)
+        assert max(abs(a - b) for a, b in zip(got.coeffs, want.coeffs)) <= 1e-12
+
+    # weights of at least 0.01 keep p_succ away from zero, where the kept
+    # state's round-off grows like 1/p_succ
+    @given(bell_states(0.01), bell_states(0.01), noise_params)
+    @settings(max_examples=50, deadline=None)
+    def test_purify_with_aux_matches_oracle_on_random_inputs(self, target, aux, noise):
+        for protocol in ("bennett", "deutsch"):
+            p_succ, kept = orc.oracle_purify(target, aux, noise, protocol)
+            outcome, closed = maps.purify_with_aux(target, aux, noise, protocol)
+            assert abs(p_succ - outcome.p_succ) <= 1e-12
+            assert max(abs(a - b) for a, b in zip(kept.coeffs, closed.coeffs)) <= 1e-12
 
 
 class TestPurifyBennett:

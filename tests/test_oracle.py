@@ -3,8 +3,7 @@ import pytest
 
 from qrepeater import oracle as orc
 from qrepeater.errors import ValidationError
-from qrepeater.oracle import NoiseParams
-from qrepeater.states import BellDiagonalState, WernerState
+from qrepeater.states import BellDiagonalState, NoiseParams, WernerState
 
 PERFECT = NoiseParams.perfect()
 
@@ -89,11 +88,6 @@ class TestTwoQubitNoise:
 
 
 class TestMeasurement:
-    def test_povm_completeness_exact(self):
-        for eta in (1.0, 0.995, 0.97, 0.5):
-            p0, p1 = orc.povm_elements(eta)
-            assert np.array_equal(p0 + p1, np.eye(2, dtype=complex))
-
     def test_perfect_readout_of_ground_state(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
         branches = orc.noisy_measure(rho, 0, 1.0)
