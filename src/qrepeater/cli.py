@@ -4,6 +4,10 @@ Subcommands emit tab-separated tables (plot-ready, self-describing header)
 or JSON, deterministically: identical configuration produces byte-identical
 output.  Exit codes: 0 success, 1 failed check (oracle-check), 2 invalid
 configuration, 3 infeasible protocol, 4 I/O error.
+
+Only ``oracle-check`` loads the density-matrix oracle, and with it numpy;
+every other subcommand runs on the closed forms without numpy, which keeps
+a call close to bare interpreter start-up.
 """
 from __future__ import annotations
 
@@ -15,8 +19,7 @@ from dataclasses import asdict
 
 from . import maps
 from .engine import ProtocolConfig, TimingModel, optimize_working_fidelity, simulate
-from .errors import InfeasibleError, ValidationError
-from .oracle import closed_form_deviations
+from .errors import InfeasibleError, NumericError, ValidationError
 from .states import NoiseParams, WernerState
 
 EXIT_OK = 0
@@ -143,8 +146,9 @@ def cmd_sweep_m(args) -> int:
         try:
             result = optimize_working_fidelity(args.L, NoiseParams.uniform(q), args.protocol,
                                                grid, n_levels=args.levels)
-        except InfeasibleError:
-            continue  # no feasible point at this noise value
+        except InfeasibleError as exc:
+            print(f"skipped: noise={q!r}: {exc}", file=sys.stderr)
+            continue
         rows.extend((q, f, m_value) for f, m_value in result.curve)
     _write_output(args, _table(["noise", "working_fidelity", "avg_pairs_per_level"],
                                rows, args.format))
@@ -227,7 +231,14 @@ def cmd_repeater(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    worst_connect, worst_pf, worst_pp, worst_deutsch = closed_form_deviations(args.perturb)
+    from .oracle import closed_form_deviations  # the one subcommand that needs numpy
+
+    try:
+        deviations = closed_form_deviations(args.perturb)
+    except NumericError as exc:  # an oracle output left the Bell-diagonal form
+        print(f"FAIL: {exc}")
+        return EXIT_CHECK_FAILED
+    worst_connect, worst_pf, worst_pp, worst_deutsch = deviations
     print(f"connection fidelity     max |closed form - oracle| = {worst_connect:.3e}")
     print(f"purification fidelity   max |closed form - oracle| = {worst_pf:.3e}")
     print(f"purification p_succ     max |closed form - oracle| = {worst_pp:.3e}")

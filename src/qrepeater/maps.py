@@ -85,7 +85,10 @@ def connect_L(fidelity: float, length: int, noise: NoiseParams) -> float:
         return float(fidelity)
     t = (4.0 * fidelity - 1.0) / 3.0
     noise_factor = noise.p1 * noise.p2 * (4.0 * noise.eta ** 2 - 1.0) / 3.0
-    return 0.25 + 0.75 * noise_factor ** (length - 1) * t ** length
+    try:
+        return 0.25 + 0.75 * noise_factor ** (length - 1) * t ** length
+    except OverflowError:  # an int exponent beyond float range
+        raise ValidationError("chain length L exceeds float range") from None
 
 
 def _convolve(v: Sequence[float], w: Sequence[float]) -> list[float]:

@@ -13,15 +13,15 @@ analytic layer models in closed form:
 The closed-form maps in :mod:`qrepeater.maps` are required to agree with
 these routines to 1e-12; ``closed_form_deviations`` measures that on the
 grid behind ``qrepeater oracle-check`` and acceptance criterion 1.  This is
-the only module that needs numpy, and nothing else in the package imports it
-except the command line.
+the only module that needs numpy, and only the ``oracle-check`` subcommand
+imports it.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import maps
-from .errors import DegeneratePostSelectionError, ValidationError
+from .errors import DegeneratePostSelectionError, NumericError, ValidationError
 from .states import BellDiagonalState, NoiseParams, WernerState
 
 I2 = np.eye(2, dtype=complex)
@@ -168,6 +168,9 @@ _BELL = np.array(
 ) / np.sqrt(2.0)
 
 
+_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
+
+
 def bell_diagonal_to_dm(state: BellDiagonalState) -> np.ndarray:
     """4x4 density matrix of a Bell-diagonal state."""
     rho = np.zeros((4, 4), dtype=complex)
@@ -178,9 +181,19 @@ def bell_diagonal_to_dm(state: BellDiagonalState) -> np.ndarray:
 
 
 def bell_coefficients(rho: np.ndarray) -> np.ndarray:
-    """Diagonal of a two-qubit density matrix in the Bell basis."""
+    """Diagonal of a two-qubit density matrix in the Bell basis.
+
+    The closed forms carry only these four numbers, so a state with an
+    off-diagonal Bell-basis element above 1e-12 raises :class:`NumericError`.
+    """
     if rho.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 matrix, got {rho.shape}")
+    off_diagonal = np.abs((_BELL.conj().T @ rho @ _BELL)[_OFF_DIAGONAL]).max()
+    if off_diagonal > 1e-12:
+        raise NumericError(
+            f"state is not Bell-diagonal: off-diagonal Bell-basis element "
+            f"{off_diagonal:.3e} exceeds 1e-12"
+        )
     return np.array([(_BELL[:, k].conj() @ rho @ _BELL[:, k]).real for k in range(4)])
 
 

@@ -1,9 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 NOISE = ("--p1", "0.995", "--p2", "0.995", "--eta", "0.995")
 
+import qrepeater
 from qrepeater.cli import main
 
 
@@ -38,6 +43,13 @@ class TestConnectCurve:
         assert code == 0
         row = out.strip().split("\n")[1].split("\t")
         assert float(row[1]) == pytest.approx(1.0, abs=1e-15)
+
+    def test_chain_length_beyond_float_range_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "connect-curve", "--L", str(10 ** 400),
+                                 "--grid", "0.5:0.5:0.1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: chain length L exceeds float range\n"
 
     @pytest.mark.parametrize("grid", [
         "nan:1:0.1",
@@ -121,12 +133,21 @@ class TestSweepM:
             assert all(a <= b + 1e-9 for a, b in zip(column, column[1:]))
 
     def test_noise_value_without_feasible_point_emits_no_rows(self, capsys):
-        code, out, _ = run_cli(capsys, "sweep-m", "--protocol", "bennett",
-                               "--noise-list", "0.97,0.995", "--grid", "0.9:0.94:0.02",
-                               "--levels", "4")
+        code, out, err = run_cli(capsys, "sweep-m", "--protocol", "bennett",
+                                 "--noise-list", "0.97,0.995", "--grid", "0.9:0.94:0.02",
+                                 "--levels", "4")
         assert code == 0
         noise_values = {line.split("\t")[0] for line in out.strip().split("\n")[1:]}
         assert noise_values == {"0.995"}
+        assert err == ("skipped: noise=0.97: no feasible working fidelity on the grid "
+                       "[0.9, 0.9400000000000001]\n")
+
+    def test_all_noise_values_skipped_prints_header_only(self, capsys):
+        code, out, err = run_cli(capsys, "sweep-m", "--protocol", "bennett",
+                                 "--noise-list", "0.97")
+        assert code == 0
+        assert out == "noise\tworking_fidelity\tavg_pairs_per_level\n"
+        assert err == "skipped: noise=0.97: no feasible working fidelity on the grid [0.88, 0.99]\n"
 
     def test_levels_bounded_before_segment_count_is_formed(self, capsys):
         code, out, err = run_cli(capsys, "sweep-m", "--levels", "2000",
@@ -269,3 +290,73 @@ class TestOracleCheck:
         code, out, _ = run_cli(capsys, "oracle-check", "--perturb", "1e-9")
         assert code == 1
         assert "FAIL" in out
+
+    def test_non_bell_diagonal_oracle_state_fails_in_one_line(self, capsys, monkeypatch):
+        import numpy as np
+        from qrepeater import oracle
+
+        # a small Z rotation on one end of every input pair leaves Bell-basis coherences
+        exact = oracle.bell_diagonal_to_dm
+        rotation = oracle.embed(np.diag([np.exp(-1e-3j), np.exp(1e-3j)]), 2, (0,))
+        monkeypatch.setattr(oracle, "bell_diagonal_to_dm",
+                            lambda state: rotation @ exact(state) @ rotation.conj().T)
+        code, out, err = run_cli(capsys, "oracle-check")
+        assert code == 1
+        assert out.startswith("FAIL: state is not Bell-diagonal") and out.count("\n") == 1
+        assert err == ""
+
+
+SRC = str(pathlib.Path(qrepeater.__file__).parents[1])
+
+
+def run_fresh(argv):
+    """Run ``python -X importtime -m qrepeater.cli`` and list the modules it imported."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-X", "importtime", "-m", "qrepeater.cli", *argv],
+                            capture_output=True, text=True, env=env)
+    imported, err_lines = set(), []
+    for line in result.stderr.splitlines():
+        if line.startswith("import time:"):
+            imported.add(line.rsplit("|", 1)[1].strip())
+        else:
+            err_lines.append(line)
+    return result.returncode, result.stdout, err_lines, imported
+
+
+FRESH_CASES = {
+    "connect_curve": (0, ("connect-curve", "--grid", "0.5:1.0:0.1", "--L", "3", "--p2", "0.97")),
+    "purify_curve_bennett": (0, ("purify-curve", "--grid", "0.6:1.0:0.1", *NOISE)),
+    "purify_curve_deutsch": (0, ("purify-curve", "--protocol", "deutsch",
+                                 "--grid", "0.6:1.0:0.1", *NOISE, "--format", "json")),
+    "fixed_points": (0, ("fixed-points", "--p2", "0.97")),
+    "sweep_m": (0, ("sweep-m", "--noise-list", "0.995,0.99", "--grid", "0.9:0.96:0.02",
+                    "--levels", "4")),
+    "repeater_flags": (0, ("repeater", "--scheme", "B", "--N", "1024", *NOISE,
+                           "--f-work", "0.96")),
+    "repeater_config": (0, ("repeater", "--config", "{config}", "--format", "tsv")),
+    "repeater_infeasible": (3, ("repeater", "--scheme", "C", *NOISE, "--f-init", "0.96",
+                                "--f-work", "0.96")),
+    "invalid": (2, ("repeater", "--scheme", "B", "--N", "12")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRESH_CASES))
+def test_analytic_subcommand_loads_neither_numpy_nor_oracle(tmp_path, name):
+    expected_code, argv = FRESH_CASES[name]
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"scheme": "A", "N": 16, "p1": 0.995, "p2": 0.995,
+                                  "eta": 0.995, "f_work": 0.94}))
+    code, _, _, imported = run_fresh([arg.format(config=config) for arg in argv])
+    assert code == expected_code
+    assert "qrepeater.engine" in imported  # the probe sees the package's own imports
+    assert not {"numpy", "qrepeater.oracle"} & imported
+
+
+def test_oracle_check_loads_the_oracle_and_passes():
+    code, out, err_lines, imported = run_fresh(["oracle-check"])
+    assert code == 0
+    assert out.splitlines()[-1] == "PASS: all deviations within 1e-12"
+    assert err_lines == []
+    # the probe sees the imports the analytic subcommands must not make
+    assert {"numpy", "qrepeater.oracle"} <= imported

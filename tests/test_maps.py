@@ -348,3 +348,41 @@ class TestStaircase:
         # non-Werner output: phase-flip coefficient dominates the tail
         assert trace.final_state.coeffs[1] > trace.final_state.coeffs[2]
         assert len(trace.steps) == 2
+
+
+def assert_valid_state(state):
+    assert all(0.0 <= c <= 1.0 for c in state.coeffs)
+    assert abs(sum(state.coeffs) - 1.0) <= 1e-12
+
+
+class TestMapProperties:
+    @given(bell_states(), bell_states(), noise_params)
+    def test_connect_states_returns_valid_state(self, s1, s2, noise):
+        assert_valid_state(maps.connect_states(s1, s2, noise))
+
+    # weights of at least 0.01 keep p_succ away from zero, as in the oracle tests
+    @given(bell_states(0.01), bell_states(0.01), noise_params,
+           st.sampled_from(["bennett", "deutsch"]))
+    def test_purify_with_aux_returns_valid_state(self, target, aux, noise, protocol):
+        outcome, out = maps.purify_with_aux(target, aux, noise, protocol)
+        assert_valid_state(out)
+        assert outcome.out_fidelity == out.fidelity
+        assert 0.0 < outcome.p_succ <= 1.0
+
+    @given(st.floats(0.25, 1.0), noise_params)
+    def test_purify_bennett_returns_valid_outcome(self, fidelity, noise):
+        outcome = maps.purify_bennett(fidelity, noise)
+        assert 0.0 <= outcome.out_fidelity <= 1.0
+        assert 0.0 < outcome.p_succ <= 1.0
+
+    @given(bell_states(), bell_states(), noise_params)
+    def test_connect_states_commutes(self, s1, s2, noise):
+        forward = maps.connect_states(s1, s2, noise).coeffs
+        backward = maps.connect_states(s2, s1, noise).coeffs
+        assert max(abs(a - b) for a, b in zip(forward, backward)) <= 1e-15
+
+    @given(bell_states(), bell_states(), bell_states(), noise_params)
+    def test_connect_chain_associates(self, s1, s2, s3, noise):
+        left = maps.connect_chain([s1, s2, s3], noise).coeffs
+        right = maps.connect_states(s1, maps.connect_states(s2, s3, noise), noise).coeffs
+        assert max(abs(a - b) for a, b in zip(left, right)) <= 1e-15

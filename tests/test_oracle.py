@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qrepeater import oracle as orc
-from qrepeater.errors import ValidationError
+from qrepeater.errors import NumericError, ValidationError
 from qrepeater.states import BellDiagonalState, NoiseParams, WernerState
 
 PERFECT = NoiseParams.perfect()
@@ -225,3 +228,35 @@ class TestPurify:
         s = WernerState(0.9).to_bell_diagonal()
         with pytest.raises(ValidationError):
             orc.oracle_purify(s, s, PERFECT, "magic")
+
+
+# weights of at least 0.01 leave every coherence room of at least 2.5e-11
+# below the positivity limit sqrt(c_j c_k)
+bell_weights = st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4).map(
+    lambda w: np.array(w) / sum(w))
+
+
+def bell_basis_state(coeffs, coherence=None):
+    """Density matrix with the given Bell-basis diagonal and an optional (j, k, z) coherence."""
+    in_bell = np.diag(coeffs).astype(complex)
+    if coherence is not None:
+        j, k, z = coherence
+        in_bell[j, k], in_bell[k, j] = z, np.conj(z)
+    return orc._BELL @ in_bell @ orc._BELL.conj().T
+
+
+class TestBellDiagonalCheck:
+    @given(bell_weights)
+    def test_bell_diagonal_state_passes(self, coeffs):
+        got = orc.bell_coefficients(bell_basis_state(coeffs))
+        assert np.abs(got - coeffs).max() <= 1e-15
+
+    @given(bell_weights, st.sampled_from(list(itertools.combinations(range(4), 2))),
+           st.floats(1e-8, 1.0), st.floats(0.0, 2 * np.pi))
+    def test_coherence_between_bell_states_trips_the_check(self, coeffs, pair, scale, phase):
+        j, k = pair
+        z = scale * np.sqrt(coeffs[j] * coeffs[k]) * np.exp(1j * phase)
+        rho = bell_basis_state(coeffs, (j, k, z))
+        assert np.linalg.eigvalsh(rho).min() >= -1e-12  # still a state
+        with pytest.raises(NumericError, match="not Bell-diagonal"):
+            orc.bell_coefficients(rho)
