@@ -15,12 +15,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from . import maps
 from .engine import ProtocolConfig, TimingModel, optimize_working_fidelity, simulate
 from .errors import InfeasibleError, NumericError, ValidationError
-from .states import NoiseParams, WernerState
+from .states import NoiseParams
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -114,23 +114,14 @@ def cmd_purify_curve(args) -> int:
     noise = _noise_from_args(args)
     rows = []
     for f in _parse_grid(args.grid):
-        if args.protocol == "bennett":
-            outcome = maps.purify_bennett(f, noise)
-        else:
-            state = WernerState(f).to_bell_diagonal()
-            outcome, _ = maps.purify_with_aux(state, state, noise, "deutsch")
+        outcome = maps.purify_bennett(f, noise)
         rows.append((f, outcome.out_fidelity, outcome.p_succ))
     _write_output(args, _table(["fidelity_in", "fidelity_out", "p_succ"], rows, args.format))
     return EXIT_OK
 
 
 def cmd_fixed_points(args) -> int:
-    noise = _noise_from_args(args)
-    if args.protocol == "bennett":
-        fmap = maps.bennett_map(noise)
-    else:
-        fmap = maps.deutsch_werner_map(noise)
-    points = maps.fixed_points(fmap)
+    points = maps.fixed_points(maps.bennett_map(_noise_from_args(args)))
     rows = [(points.f_min, points.f_max)]
     _write_output(args, _table(["f_min", "f_max"], rows, args.format))
     return EXIT_OK
@@ -138,9 +129,11 @@ def cmd_fixed_points(args) -> int:
 
 def cmd_sweep_m(args) -> int:
     noise_values = _parse_float_list(args.noise_list)
+    if not noise_values:
+        raise ValidationError(f"--noise-list holds no values, got {args.noise_list!r}")
     grid = _parse_grid(args.grid)
-    if args.levels > _MAX_LEVELS:
-        raise ValidationError(f"--levels must be at most {_MAX_LEVELS}, got {args.levels}")
+    if not 1 <= args.levels <= _MAX_LEVELS:
+        raise ValidationError(f"--levels must lie in [1, {_MAX_LEVELS}], got {args.levels}")
     rows = []
     for q in noise_values:
         try:
@@ -178,24 +171,15 @@ def _config_from_args(args) -> ProtocolConfig:
             raise ValidationError(f"config field {key} must be {kind.__name__}, got {value!r}")
         return kind(value)
 
-    unknown = set(file_values) - {
-        "scheme", "N", "L", "p1", "p2", "eta", "f_init", "f_work",
-        "tau_op", "tau_pair", "segment_km", "signal_speed",
-    }
+    noise_fields, timing_fields = fields(NoiseParams), fields(TimingModel)
+    known = {"scheme", "N", "L", "f_init", "f_work"} | {
+        f.name for f in noise_fields + timing_fields}
+    unknown = set(file_values) - known
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
 
-    noise = NoiseParams(
-        p1=pick("p1", 1.0, float),
-        p2=pick("p2", 1.0, float),
-        eta=pick("eta", 1.0, float),
-    )
-    timing = TimingModel(
-        tau_op=pick("tau_op", 1e-5, float),
-        tau_pair=pick("tau_pair", 3e-4, float),
-        segment_km=pick("segment_km", 10.0, float),
-        signal_speed=pick("signal_speed", 2e5, float),
-    )
+    noise = NoiseParams(**{f.name: pick(f.name, f.default, float) for f in noise_fields})
+    timing = TimingModel(**{f.name: pick(f.name, f.default, float) for f in timing_fields})
     f_work = pick("f_work", 0.96, float)
     return ProtocolConfig(
         n_segments=pick("N", 16, int),
@@ -220,10 +204,9 @@ def cmd_repeater(args) -> int:
             ["level", "span_segments", "fidelity_in", "fidelity_connected",
              "fidelity_achieved", "steps", "avg_pairs"], rows, "tsv")
     _write_output(args, text)
-    resources = (report.particles_per_node if report.scheme == "C"
-                 else report.parallel_resources)
     print(
-        f"scheme={report.scheme} N={report.n_segments} resources={_fmt(float(resources))} "
+        f"scheme={report.scheme} N={report.n_segments} "
+        f"resources={_fmt(report.parallel_resources)} "
         f"time_s={_fmt(report.total_time)} final_fidelity={_fmt(report.final_fidelity)}",
         file=sys.stderr,
     )
@@ -267,13 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("purify-curve", help="one purification step over a fidelity grid")
     p.add_argument("--grid", default="0.5:1.0:0.001")
-    p.add_argument("--protocol", choices=("bennett", "deutsch"), default="bennett")
+    p.add_argument("--protocol", choices=("bennett", "deutsch"), default="bennett",
+                   help="either protocol gives the same output: on Werner pairs they are one map")
     _add_noise_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_purify_curve)
 
     p = sub.add_parser("fixed-points", help="fixed points of a purification map")
-    p.add_argument("--protocol", choices=("bennett", "deutsch"), default="bennett")
+    p.add_argument("--protocol", choices=("bennett", "deutsch"), default="bennett",
+                   help="either protocol gives the same output: on Werner pairs they are one map")
     _add_noise_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_fixed_points)

@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import AuxPurificationError, InfeasibleError, ValidationError
+from .errors import InfeasibleError, ValidationError
 from .maps import _purify_until, connect_chain, connect_L
 from .states import NoiseParams, WernerState
 
@@ -141,8 +141,7 @@ class RepeaterReport:
 
 def _attach_level(exc: InfeasibleError, level: int) -> InfeasibleError:
     exc.args = (f"level {level}: {exc.args[0]}",) + exc.args[1:]
-    if isinstance(exc, AuxPurificationError):
-        exc.level = level
+    exc.level = level
     return exc
 
 
@@ -166,8 +165,9 @@ def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterRep
     across their spans.
     """
     pumped = config.scheme == "C"
+    depolarize = config.scheme == "A"
     if not pumped:
-        protocol = "bennett" if config.scheme == "A" else "deutsch"
+        protocol = "bennett" if depolarize else "deutsch"
     elif protocol is None:
         protocol = "deutsch"
     elif protocol not in ("bennett", "deutsch"):
@@ -181,14 +181,15 @@ def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterRep
     total_time = timing.tau_pair
     for level in range(1, config.n_levels + 1):
         f_in = state.fidelity
-        if config.scheme == "A":
+        if depolarize:
             connected_f = connect_L(f_in, config.length, config.noise)
             connected = WernerState(connected_f).to_bell_diagonal()
         else:
             connected = connect_chain([state] * config.length, config.noise)
         try:
             trace = _purify_until(connected, config.f_work, config.noise, protocol,
-                                  aux=connected if pumped else None)
+                                  aux=connected if pumped else None,
+                                  depolarize=depolarize)
         except InfeasibleError as exc:
             raise _attach_level(exc, level)
         steps = len(trace.steps)

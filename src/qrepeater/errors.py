@@ -10,7 +10,13 @@ class ValidationError(RepeaterError, ValueError):
 
 
 class InfeasibleError(RepeaterError):
-    """The requested protocol cannot succeed at these parameters (CLI exit code 3)."""
+    """The requested protocol cannot succeed at these parameters (CLI exit code 3).
+
+    ``level`` is the nesting level at which a repeater run failed; ``simulate``
+    sets it on every such error it raises, and it stays ``None`` elsewhere.
+    """
+
+    level: int | None = None
 
 
 class PurificationImpossibleError(InfeasibleError):
@@ -26,14 +32,7 @@ class WorkingFidelityUnreachableError(InfeasibleError):
 
 
 class AuxPurificationError(InfeasibleError):
-    """Pumping with a constant-fidelity auxiliary pair cannot reach the working fidelity.
-
-    Carries the nesting level at which the condition failed, when known.
-    """
-
-    def __init__(self, message, level=None):
-        super().__init__(message)
-        self.level = level
+    """Pumping with a constant-fidelity auxiliary pair cannot reach the working fidelity."""
 
 
 class DegeneratePostSelectionError(InfeasibleError):

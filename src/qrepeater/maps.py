@@ -36,6 +36,10 @@ _MAX_STEPS = 10_000
 #: both-flip states swap.
 _DEUTSCH_PERM = (0, 3, 2, 1)
 
+#: Fidelities at which ``fixed_points`` scans for diagonal crossings: 750
+#: points, 1e-3 apart, from just above the maximally mixed state up to 1.
+_SCAN_GRID = tuple(0.251 + (1.0 - 0.251) * i / 749 for i in range(750))
+
 
 @dataclass(frozen=True)
 class PurifyOutcome:
@@ -211,13 +215,12 @@ def deutsch_werner_map(noise: NoiseParams) -> Callable[[float], float]:
     return fmap
 
 
-def _bisect(g: Callable[[float], float], lo: float, hi: float,
-            g_lo: float, xtol: float = 1e-12) -> float:
-    """Sign-change bisection; ``g(lo)`` and ``g(hi)`` must have opposite signs."""
+def _bisect(g: Callable[[float], float], lo: float, hi: float, g_lo: float) -> float:
+    """Sign-change bisection to 1e-12; ``g(lo)`` and ``g(hi)`` must have opposite signs."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         g_mid = g(mid)
-        if g_mid == 0.0 or hi - lo < xtol:
+        if g_mid == 0.0 or hi - lo < 1e-12:
             return mid
         if (g_lo < 0.0) != (g_mid < 0.0):
             hi = mid
@@ -226,27 +229,20 @@ def _bisect(g: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-def fixed_points(fidelity_map: Callable[[float], float],
-                 search_interval: tuple[float, float] = (0.251, 1.0),
-                 grid_step: float = 1e-3) -> FixedPoints:
+def fixed_points(fidelity_map: Callable[[float], float]) -> FixedPoints:
     """Locate the two nontrivial fixed points of a purification fidelity map.
 
-    Scans ``search_interval`` for sign changes of ``map(F) - F`` and bisects
-    each to 1e-12; an exact zero at the upper endpoint (the perfect-operation
+    Scans ``_SCAN_GRID`` for sign changes of ``map(F) - F`` and bisects each
+    to 1e-12; an exact zero at the upper endpoint (the perfect-operation
     case) counts as a fixed point.  The lower point repels, the upper one
     attracts.  Raises :class:`PurificationImpossibleError` when the map never
     crosses the diagonal, and :class:`NumericError` when the crossing count
     is not the expected two (a genuinely odd map, not an infeasibility).
     """
-    lo, hi = search_interval
-    if not 0.25 <= lo < hi <= 1.0:
-        raise ValidationError(f"bad search interval {search_interval!r}")
-
     def gap(f: float) -> float:
         return fidelity_map(f) - f
 
-    count = max(2, int(round((hi - lo) / grid_step)) + 1)
-    xs = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    xs = _SCAN_GRID
     gs = [gap(x) for x in xs]
 
     roots: list[float] = []
@@ -278,17 +274,19 @@ def fixed_points(fidelity_map: Callable[[float], float],
 
 def _purify_until(state: BellDiagonalState, target_fidelity: float,
                   noise: NoiseParams, protocol: str,
-                  aux: BellDiagonalState | None = None) -> PurifyTrace:
+                  aux: BellDiagonalState | None = None,
+                  depolarize: bool = False) -> PurifyTrace:
     """Iterate purification until the fidelity reaches the target.
 
     Without ``aux`` every step pairs two parallel copies of the current
-    state; the twirl-based protocol re-depolarizes the output each step, the
-    rotation-based one carries the full state.  With ``aux`` every step
-    sacrifices a freshly re-created copy of that pair instead (pumping), and
-    no step depolarizes.  Overshoot past the target is allowed and recorded.
-    A step that gains nothing raises: :class:`AuxPurificationError` when
-    pumping, :class:`BelowThresholdError` when the start was already at the
-    repelling threshold, :class:`WorkingFidelityUnreachableError` otherwise.
+    state; with ``aux`` every step sacrifices a freshly re-created copy of
+    that pair instead (pumping).  ``depolarize`` projects every step's output
+    back to Werner form, as the twirl-based nesting of scheme A prescribes;
+    otherwise the full Bell-diagonal state is carried.  Overshoot past the
+    target is allowed and recorded.  A step that gains nothing raises:
+    :class:`AuxPurificationError` when pumping, :class:`BelowThresholdError`
+    when the start was already at the repelling threshold,
+    :class:`WorkingFidelityUnreachableError` otherwise.
     """
     steps: list[tuple[float, float]] = []
     avg_pairs = 1.0
@@ -298,12 +296,10 @@ def _purify_until(state: BellDiagonalState, target_fidelity: float,
             raise NumericError(
                 f"purification did not terminate within {_MAX_STEPS} steps"
             )
-        if aux is None and protocol == "bennett":
-            outcome = purify_bennett(current.fidelity, noise)
+        outcome, nxt = purify_with_aux(current, current if aux is None else aux,
+                                       noise, protocol)
+        if depolarize:
             nxt = WernerState(outcome.out_fidelity).to_bell_diagonal()
-        else:
-            outcome, nxt = purify_with_aux(current, current if aux is None else aux,
-                                           noise, protocol)
         if nxt.fidelity <= current.fidelity + _GAIN_EPS:
             stalled = current.fidelity
             if aux is not None:

@@ -197,30 +197,6 @@ def bell_coefficients(rho: np.ndarray) -> np.ndarray:
     return np.array([(_BELL[:, k].conj() @ rho @ _BELL[:, k]).real for k in range(4)])
 
 
-def validate_density_matrix(rho: np.ndarray, atol: float = 1e-10) -> None:
-    """Raise if ``rho`` is not Hermitian, unit trace and positive within atol."""
-    if np.abs(rho - rho.conj().T).max() > atol:
-        raise ValidationError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > atol:
-        raise ValidationError("density matrix trace differs from 1")
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < -atol:
-        raise ValidationError(f"density matrix has negative eigenvalue {eigs.min()}")
-
-
-def choi_matrix(channel, n_qubits: int) -> np.ndarray:
-    """Choi matrix of ``channel`` (a function on 2^n x 2^n density matrices)."""
-    dim = 2 ** n_qubits
-    choi = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            basis = np.zeros((dim, dim), dtype=complex)
-            basis[i, j] = 1.0
-            out = channel(basis)
-            choi += np.kron(basis, out)
-    return choi
-
-
 def _pair_product(pair_ab: BellDiagonalState, pair_cd: BellDiagonalState) -> np.ndarray:
     """Four-qubit product state: first pair on qubits (0, 1), second on (2, 3)."""
     return np.kron(bell_diagonal_to_dm(pair_ab), bell_diagonal_to_dm(pair_cd))
@@ -261,18 +237,16 @@ def oracle_connect(pair_ab: BellDiagonalState, pair_bc: BellDiagonalState,
 
 
 def oracle_purify(kept: BellDiagonalState, sacrificed: BellDiagonalState,
-                  noise: NoiseParams, protocol: str = "bennett",
-                  include_one_qubit_noise: bool = False):
+                  noise: NoiseParams, protocol: str = "bennett"):
     """Simulate one two-pair purification step; returns ``(p_succ, kept_state)``.
 
     The kept pair sits on qubits (0, 1), the sacrificed pair on (2, 3);
     qubits 0 and 2 belong to one node, 1 and 3 to the other.  Both variants
     apply a bilateral noisy CNOT (kept controls sacrificed), read out the
     sacrificed pair with imperfect detectors and keep the coinciding-reading
-    branches.  The ``deutsch`` variant first applies pi/2 rotations of
-    opposite sign on the two nodes; those rotations are perfect unless
-    ``include_one_qubit_noise`` is set, in which case they carry the
-    one-qubit gate noise p1.
+    branches.  The ``deutsch`` variant first applies perfect pi/2 rotations
+    of opposite sign on the two nodes: the model leaves the one-qubit gate
+    noise p1 out of purification.
     """
     if protocol not in ("bennett", "deutsch"):
         raise ValidationError(f"unknown purification protocol {protocol!r}")
@@ -281,11 +255,8 @@ def oracle_purify(kept: BellDiagonalState, sacrificed: BellDiagonalState,
     if protocol == "deutsch":
         rotations = ((0, ROT_X_POS), (2, ROT_X_POS), (1, ROT_X_NEG), (3, ROT_X_NEG))
         for qubit, gate in rotations:
-            if include_one_qubit_noise:
-                rho = apply_noisy_one_qubit(rho, gate, qubit, noise.p1)
-            else:
-                u = embed(gate, 4, (qubit,))
-                rho = u @ rho @ u.conj().T
+            u = embed(gate, 4, (qubit,))
+            rho = u @ rho @ u.conj().T
 
     rho = apply_noisy_two_qubit(rho, CNOT, (0, 2), noise.p2)
     rho = apply_noisy_two_qubit(rho, CNOT, (1, 3), noise.p2)

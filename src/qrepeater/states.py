@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 
-BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
-
 #: Tolerance for clamping round-off negatives and for the normalization check.
 COEFF_ATOL = 1e-12
 
@@ -104,10 +102,6 @@ class NoiseParams:
             raise ValidationError(f"p2 must lie in [0, 1], got {self.p2!r}")
         if not 0.5 <= self.eta <= 1.0:
             raise ValidationError(f"eta must lie in [0.5, 1], got {self.eta!r}")
-
-    @classmethod
-    def perfect(cls) -> "NoiseParams":
-        return cls(1.0, 1.0, 1.0)
 
     @classmethod
     def uniform(cls, q: float) -> "NoiseParams":

@@ -23,7 +23,7 @@ from qrepeater.errors import AuxPurificationError
 from qrepeater.states import NoiseParams, WernerState
 
 NOISE_0995 = NoiseParams.uniform(0.995)
-PERFECT = NoiseParams.perfect()
+PERFECT = NoiseParams()
 
 # Scheme C needs elementary pairs a little above the maintained fidelity:
 # pumping with pairs created at exactly 0.96 has its attractor at ~0.9595.

@@ -150,11 +150,22 @@ class TestSweepM:
         assert err == "skipped: noise=0.97: no feasible working fidelity on the grid [0.88, 0.99]\n"
 
     def test_levels_bounded_before_segment_count_is_formed(self, capsys):
-        code, out, err = run_cli(capsys, "sweep-m", "--levels", "2000",
-                                 "--grid", "0.95:0.95:0.01")
+        for levels in ("2000", "0", "-1"):
+            code, out, err = run_cli(capsys, "sweep-m", "--levels", levels,
+                                     "--grid", "0.95:0.95:0.01")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "--levels" in err
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("noise_list", [",", ""])
+    def test_empty_noise_list_rejected(self, capsys, noise_list):
+        code, out, err = run_cli(capsys, "sweep-m", "--noise-list", noise_list,
+                                 "--grid", "0.9:0.9:0.1")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and "--levels" in err
+        assert err.startswith("error: ") and "--noise-list" in err
+        assert err.count("\n") == 1
 
     def test_perfect_noise_minimum_one(self, capsys):
         code, out, _ = run_cli(capsys, "sweep-m", "--protocol", "deutsch",

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qrepeater
 from qrepeater.engine import (
@@ -125,8 +125,11 @@ def _written_out_time(report):
 
 
 class TestLevelLoop:
+    # f_work up to 0.99 lies above both parallel-copy attractors at q = 0.99 (0.974 for
+    # scheme A), so schemes A and B fail too
     @given(scheme=st.sampled_from("ABC"), q=st.floats(0.99, 1.0),
-           f_work=st.floats(0.9, 0.97), n=st.integers(1, 8))
+           f_work=st.floats(0.9, 0.99), n=st.integers(1, 8))
+    @example(scheme="A", q=0.99, f_work=0.98, n=3)
     @settings(max_examples=150, deadline=None)
     def test_run_reports_consistently_or_names_its_level(self, scheme, q, f_work, n):
         config = make_config(scheme=scheme, n_segments=2 ** n, f_init=f_work,
@@ -136,8 +139,7 @@ class TestLevelLoop:
         except InfeasibleError as exc:
             match = re.match(r"level (\d+): ", str(exc))
             assert match and 1 <= int(match[1]) <= n
-            if isinstance(exc, AuxPurificationError):
-                assert exc.level == int(match[1])
+            assert exc.level == int(match[1])
             return
         assert len(report.levels) == n
         assert all(level.fidelity_achieved >= f_work for level in report.levels)
@@ -151,7 +153,7 @@ class TestLevelLoop:
 class TestTiming:
     def test_perfect_protocol_time_is_connection_rounds_only(self):
         config = make_config(scheme="A", n_segments=8, f_init=1.0, f_work=1.0,
-                             noise=NoiseParams.perfect())
+                             noise=NoiseParams())
         report = simulate(config)
         timing = config.timing
         expected = timing.tau_pair + sum(
@@ -188,7 +190,7 @@ class TestTiming:
 class TestSchemeC:
     def test_perfect_everything_single_creation_per_level(self):
         config = make_config(scheme="C", n_segments=16, f_init=1.0, f_work=1.0,
-                             noise=NoiseParams.perfect())
+                             noise=NoiseParams())
         report = simulate(config)
         assert all(level.steps == 0 for level in report.levels)
         assert report.particles_per_node == config.n_levels + 1
@@ -243,7 +245,7 @@ class TestSchemeC:
 class TestOptimize:
     def test_perfect_noise_minimum_is_one_at_unity(self):
         grid = [0.9, 0.95, 1.0]
-        result = optimize_working_fidelity(2, NoiseParams.perfect(), "bennett", grid,
+        result = optimize_working_fidelity(2, NoiseParams(), "bennett", grid,
                                            n_levels=4)
         assert result.f_opt == 1.0
         assert result.m_min == pytest.approx(1.0)

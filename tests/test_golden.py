@@ -93,6 +93,10 @@ def run_case(argv) -> dict:
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+def test_golden_files_match_cases():
+    assert {path.stem for path in GOLDEN_DIR.glob("*.json")} == set(CASES)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
     want = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))

@@ -13,7 +13,7 @@ from qrepeater.errors import (
 )
 from qrepeater.states import BellDiagonalState, NoiseParams, WernerState
 
-PERFECT = NoiseParams.perfect()
+PERFECT = NoiseParams()
 GRID_VALUES = (1.0, 0.995, 0.99, 0.97)
 GRID_FIDELITIES = (0.55, 0.7, 0.85, 0.97)
 
@@ -318,7 +318,9 @@ class TestStaircase:
     @pytest.mark.parametrize("protocol", ["bennett", "deutsch"])
     def test_fidelities_strictly_increase(self, protocol):
         noise = NoiseParams.uniform(0.995)
-        trace = maps._purify_until(werner_connected(0.94, 2, noise), 0.94, noise, protocol)
+        # the twirl-based protocol runs as in scheme A, re-depolarizing every step
+        trace = maps._purify_until(werner_connected(0.94, 2, noise), 0.94, noise, protocol,
+                                   depolarize=protocol == "bennett")
         fids = [f for f, _ in trace.steps]
         assert len(fids) >= 2
         assert all(a < b for a, b in zip(fids, fids[1:]))
@@ -374,6 +376,16 @@ class TestMapProperties:
         outcome = maps.purify_bennett(fidelity, noise)
         assert 0.0 <= outcome.out_fidelity <= 1.0
         assert 0.0 < outcome.p_succ <= 1.0
+
+    @given(st.floats(0.25, 1.0), noise_params)
+    def test_rotation_step_on_werner_pairs_is_the_twirl_step(self, fidelity, noise):
+        # the rotation swaps two equal Werner coefficients: same arithmetic, same bits
+        werner = WernerState(fidelity).to_bell_diagonal()
+        rotated, _ = maps.purify_with_aux(werner, werner, noise, "deutsch")
+        twirled = maps.purify_bennett(fidelity, noise)
+        assert rotated.out_fidelity == twirled.out_fidelity
+        assert rotated.p_succ == twirled.p_succ
+        assert maps.deutsch_werner_map(noise)(fidelity) == maps.bennett_map(noise)(fidelity)
 
     @given(bell_states(), bell_states(), noise_params)
     def test_connect_states_commutes(self, s1, s2, noise):
