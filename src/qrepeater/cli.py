@@ -30,8 +30,7 @@ EXIT_IO = 4
 
 #: Most points a --grid may have, checked before any point is built.
 _MAX_GRID_POINTS = 100_000
-#: Most nesting levels sweep-m accepts, checked before L ** levels is formed;
-#: ProtocolConfig rejects segment counts beyond float range on its own.
+#: Most nesting levels sweep-m accepts, checked before L ** levels is formed.
 _MAX_LEVELS = 1_000
 
 
@@ -131,9 +130,17 @@ def cmd_sweep_m(args) -> int:
     noise_values = _parse_float_list(args.noise_list)
     if not noise_values:
         raise ValidationError(f"--noise-list holds no values, got {args.noise_list!r}")
+    for q in noise_values:
+        if not 0.5 <= q <= 1.0:
+            raise ValidationError(f"--noise-list values must lie in [0.5, 1], got {q!r}")
     grid = _parse_grid(args.grid)
     if not 1 <= args.levels <= _MAX_LEVELS:
         raise ValidationError(f"--levels must lie in [1, {_MAX_LEVELS}], got {args.levels}")
+    if args.L < 2:
+        raise ValidationError(f"--L must be at least 2, got {args.L}")
+    # the first test keeps the exact power below a million bits
+    if args.L > sys.float_info.max or args.L ** args.levels > sys.float_info.max:
+        raise ValidationError(f"--L to the power --levels {args.levels} exceeds float range")
     rows = []
     for q in noise_values:
         try:

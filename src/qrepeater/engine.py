@@ -15,6 +15,11 @@ Monte Carlo):
   grow only with the number of nesting levels, while the build time
   compounds level over level.
 
+Each level of :func:`simulate` connects ``L`` pairs and then purifies, one
+``purify_with_aux`` step at a time, back up to the working fidelity; a step
+that gains nothing ends the run with an :class:`InfeasibleError` naming the
+level and the cause (``_stall_error``).
+
 Resource accounting: a level that needs ``m`` purification steps consumes on
 average ``M = prod(2 / p_succ)`` parallel copies of its connected pair (in
 scheme C, ``M = 1 + m`` sequential creations); the report carries the
@@ -29,9 +34,20 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import InfeasibleError, ValidationError
-from .maps import _purify_until, connect_chain, connect_L
+from .errors import (
+    AuxPurificationError,
+    BelowThresholdError,
+    InfeasibleError,
+    NumericError,
+    ValidationError,
+    WorkingFidelityUnreachableError,
+)
+from .maps import connect_chain, connect_L, purify_with_aux
 from .states import NoiseParams, WernerState
+
+#: Least fidelity gain a purification step must make; a smaller one is a stall.
+_GAIN_EPS = 1e-13
+_MAX_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -145,6 +161,23 @@ def _attach_level(exc: InfeasibleError, level: int) -> InfeasibleError:
     return exc
 
 
+def _stall_error(stalled: float, connected: float, f_work: float,
+                 pumped: bool) -> InfeasibleError:
+    """The error for a purification step that gained nothing at fidelity ``stalled``."""
+    if pumped:
+        return AuxPurificationError(
+            f"pumping with the re-created pair stalls at fidelity "
+            f"{stalled:.6f}, below the working fidelity {f_work}"
+        )
+    if stalled <= connected + 1e-9:
+        return BelowThresholdError(
+            f"fidelity {connected:.6f} is at or below the purification threshold"
+        )
+    return WorkingFidelityUnreachableError(
+        f"purification stalls at fidelity {stalled:.6f}, below the working fidelity {f_work}"
+    )
+
+
 def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterReport:
     """Run the nested protocol: per level, connect ``L`` pairs, then purify to ``f_work``.
 
@@ -186,25 +219,39 @@ def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterRep
             connected = WernerState(connected_f).to_bell_diagonal()
         else:
             connected = connect_chain([state] * config.length, config.noise)
+        # purify back up to f_work; overshoot past it is allowed and recorded
+        state, p_succ = connected, []
         try:
-            trace = _purify_until(connected, config.f_work, config.noise, protocol,
-                                  aux=connected if pumped else None,
-                                  depolarize=depolarize)
+            while state.fidelity < config.f_work:
+                if len(p_succ) >= _MAX_STEPS:
+                    raise NumericError(
+                        f"purification did not terminate within {_MAX_STEPS} steps"
+                    )
+                outcome, purified = purify_with_aux(state, connected if pumped else state,
+                                                    config.noise, protocol)
+                if depolarize:
+                    purified = WernerState(outcome.out_fidelity).to_bell_diagonal()
+                if purified.fidelity <= state.fidelity + _GAIN_EPS:
+                    raise _stall_error(state.fidelity, connected.fidelity, config.f_work,
+                                       pumped)
+                p_succ.append(outcome.p_succ)
+                state = purified
         except InfeasibleError as exc:
             raise _attach_level(exc, level)
-        steps = len(trace.steps)
+        steps = len(p_succ)
+        avg_pairs = 1.0 + steps if pumped else math.prod((2.0 / p for p in p_succ), start=1.0)
         levels.append(LevelRecord(
             level=level,
             span_segments=config.length ** level,
             fidelity_in=f_in,
             fidelity_connected=connected.fidelity,
-            fidelity_achieved=trace.final_state.fidelity,
+            fidelity_achieved=state.fidelity,
             steps=steps,
-            p_succ=tuple(p for _, p in trace.steps),
-            avg_pairs=trace.avg_pairs,
+            p_succ=tuple(p_succ),
+            avg_pairs=avg_pairs,
         ))
-        parallel *= trace.avg_pairs
-        pairs *= config.length * trace.avg_pairs
+        parallel *= avg_pairs
+        pairs *= config.length * avg_pairs
         round_time = timing.tau_op + timing.comm_time(config.length ** level)
         if pumped:
             t_pair = total_time + round_time
@@ -215,7 +262,6 @@ def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterRep
         for name, value in (("elementary_pairs", pairs), ("total_time", total_time)):
             if not math.isfinite(value):
                 raise ValidationError(f"level {level}: {name} exceeds float range")
-        state = trace.final_state
 
     return RepeaterReport(
         scheme=config.scheme,

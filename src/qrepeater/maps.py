@@ -1,4 +1,4 @@
-"""Closed-form fidelity maps for connection and purification, and their analysis.
+"""Closed-form fidelity maps for connection and purification, and their fixed points.
 
 All maps in this module are exact algebraic images of the noisy circuits
 simulated in :mod:`qrepeater.oracle`; the test suite verifies agreement to
@@ -10,6 +10,10 @@ Success probabilities are physical: they are the total probability of the
 post-selected (coinciding-readings) branches, including the two-qubit gate
 reliability factor.  With perfect gates they reduce to the familiar
 normalization denominators of the noiseless maps.
+
+Each function here is one map or one analysis of a map; iterating
+purification up to a working fidelity is the level loop of
+:func:`qrepeater.engine.simulate`.
 """
 from __future__ import annotations
 
@@ -17,19 +21,14 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
-    AuxPurificationError,
-    BelowThresholdError,
     DegeneratePostSelectionError,
     NumericError,
     PurificationImpossibleError,
     ValidationError,
-    WorkingFidelityUnreachableError,
 )
 from .states import BellDiagonalState, NoiseParams, WernerState
 
 _PSUCC_EPS = 1e-15
-_GAIN_EPS = 1e-13
-_MAX_STEPS = 10_000
 
 #: Bell-index permutation effected by the opposite-sign pi/2 rotations of the
 #: deutsch protocol: target and bit-flip states are fixed, the phase-flip and
@@ -55,22 +54,6 @@ class FixedPoints:
 
     f_min: float
     f_max: float
-
-
-@dataclass(frozen=True)
-class PurifyTrace:
-    """Record of repeated purification back up to the working fidelity.
-
-    ``steps`` holds (fidelity, p_succ) after each step and ``final_state``
-    the full Bell-diagonal state after the last one.  ``avg_pairs`` is the
-    expected number of pairs consumed: the product of 2/p_succ over the steps
-    with parallel copies, one plus the step count with a re-created
-    auxiliary pair.
-    """
-
-    steps: tuple[tuple[float, float], ...]
-    avg_pairs: float
-    final_state: BellDiagonalState
 
 
 def connect_L(fidelity: float, length: int, noise: NoiseParams) -> float:
@@ -233,11 +216,13 @@ def fixed_points(fidelity_map: Callable[[float], float]) -> FixedPoints:
     """Locate the two nontrivial fixed points of a purification fidelity map.
 
     Scans ``_SCAN_GRID`` for sign changes of ``map(F) - F`` and bisects each
-    to 1e-12; an exact zero at the upper endpoint (the perfect-operation
-    case) counts as a fixed point.  The lower point repels, the upper one
-    attracts.  Raises :class:`PurificationImpossibleError` when the map never
-    crosses the diagonal, and :class:`NumericError` when the crossing count
-    is not the expected two (a genuinely odd map, not an infeasibility).
+    to 1e-12; an exact zero on the grid (at the upper endpoint, the
+    perfect-operation case) counts as a fixed point.  The lower point repels,
+    the upper one attracts; a map that only touches the diagonal has one
+    double fixed point, returned as both.  Raises
+    :class:`PurificationImpossibleError` when the map never reaches the
+    diagonal, and :class:`NumericError` on more than two crossings (a
+    genuinely odd map, not an infeasibility).
     """
     def gap(f: float) -> float:
         return fidelity_map(f) - f
@@ -256,72 +241,13 @@ def fixed_points(fidelity_map: Callable[[float], float]) -> FixedPoints:
             roots.append(_bisect(gap, x0, x1, g0))
 
     roots.sort()
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > 1e-6:
-            deduped.append(r)
-
-    if not deduped:
+    if not roots:
         raise PurificationImpossibleError(
             "the purification map lies below the diagonal on the whole interval"
         )
-    if len(deduped) != 2:
-        raise NumericError(
-            f"expected two diagonal crossings, found {len(deduped)}: {deduped}"
-        )
-    return FixedPoints(deduped[0], deduped[1])
-
-
-def _purify_until(state: BellDiagonalState, target_fidelity: float,
-                  noise: NoiseParams, protocol: str,
-                  aux: BellDiagonalState | None = None,
-                  depolarize: bool = False) -> PurifyTrace:
-    """Iterate purification until the fidelity reaches the target.
-
-    Without ``aux`` every step pairs two parallel copies of the current
-    state; with ``aux`` every step sacrifices a freshly re-created copy of
-    that pair instead (pumping).  ``depolarize`` projects every step's output
-    back to Werner form, as the twirl-based nesting of scheme A prescribes;
-    otherwise the full Bell-diagonal state is carried.  Overshoot past the
-    target is allowed and recorded.  A step that gains nothing raises:
-    :class:`AuxPurificationError` when pumping, :class:`BelowThresholdError`
-    when the start was already at the repelling threshold,
-    :class:`WorkingFidelityUnreachableError` otherwise.
-    """
-    steps: list[tuple[float, float]] = []
-    avg_pairs = 1.0
-    current = state
-    while current.fidelity < target_fidelity:
-        if len(steps) >= _MAX_STEPS:
-            raise NumericError(
-                f"purification did not terminate within {_MAX_STEPS} steps"
-            )
-        outcome, nxt = purify_with_aux(current, current if aux is None else aux,
-                                       noise, protocol)
-        if depolarize:
-            nxt = WernerState(outcome.out_fidelity).to_bell_diagonal()
-        if nxt.fidelity <= current.fidelity + _GAIN_EPS:
-            stalled = current.fidelity
-            if aux is not None:
-                raise AuxPurificationError(
-                    f"pumping with the re-created pair stalls at fidelity "
-                    f"{stalled:.6f}, below the working fidelity {target_fidelity}"
-                )
-            if stalled <= state.fidelity + 1e-9:
-                raise BelowThresholdError(
-                    f"fidelity {state.fidelity:.6f} is at or below the purification threshold"
-                )
-            raise WorkingFidelityUnreachableError(
-                f"purification stalls at fidelity {stalled:.6f}, "
-                f"below the working fidelity {target_fidelity}"
-            )
-        steps.append((nxt.fidelity, outcome.p_succ))
-        if aux is None:
-            avg_pairs *= 2.0 / outcome.p_succ
-        else:
-            avg_pairs += 1.0
-        current = nxt
-    return PurifyTrace(steps=tuple(steps), avg_pairs=avg_pairs, final_state=current)
+    if len(roots) > 2:
+        raise NumericError(f"expected two diagonal crossings, found {len(roots)}: {roots}")
+    return FixedPoints(roots[0], roots[-1])
 
 
 def eq_noiseless_bennett(fidelity: float) -> float:

@@ -116,6 +116,18 @@ class TestFixedPointsCommand:
         assert code == 3
         assert "infeasible" in err
 
+    # near p2 = sqrt(0.9) the map touches the diagonal at F = 0.75: the first value
+    # crosses it twice 4.6e-8 apart, the second touches it at a scan grid point
+    @pytest.mark.parametrize("p2", ["0.948683298050514", "0.9486832980505139"])
+    def test_touching_map_has_double_fixed_point(self, capsys, p2):
+        code, out, err = run_cli(capsys, "fixed-points", "--p2", p2)
+        assert (code, err) == (0, "")
+        f_min, f_max = (float(v) for v in out.strip().split("\n")[1].split("\t"))
+        assert f_min == pytest.approx(0.75, abs=1e-6)
+        assert f_max == pytest.approx(0.75, abs=1e-6)
+        if p2 == "0.9486832980505139":
+            assert f_min == f_max
+
 
 class TestSweepM:
     def test_noise_ordering_pointwise(self, capsys):
@@ -157,6 +169,18 @@ class TestSweepM:
             assert out == ""
             assert err.startswith("error: ") and "--levels" in err
             assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--noise-list", "nan"), "error: --noise-list values must lie in [0.5, 1], got nan\n"),
+        (("--noise-list", "0.995,0.3"),
+         "error: --noise-list values must lie in [0.5, 1], got 0.3\n"),
+        (("--L", "100000", "--levels", "1000"),
+         "error: --L to the power --levels 1000 exceeds float range\n"),
+        (("--L", "1"), "error: --L must be at least 2, got 1\n"),
+    ], ids=["nan", "below-range", "power", "L-below-2"])
+    def test_errors_name_the_flag(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "sweep-m", *argv, "--grid", "0.9:0.9:0.1")
+        assert (code, out, err) == (2, "", message)
 
     @pytest.mark.parametrize("noise_list", [",", ""])
     def test_empty_noise_list_rejected(self, capsys, noise_list):

@@ -143,10 +143,16 @@ class TestLevelLoop:
             return
         assert len(report.levels) == n
         assert all(level.fidelity_achieved >= f_work for level in report.levels)
-        assert report.elementary_pairs == pytest.approx(
-            math.prod(2 * level.avg_pairs for level in report.levels), rel=1e-12)
+        # the per-level copy counts compose to the totals exactly, in the engine's order
+        assert report.elementary_pairs == math.prod(2 * level.avg_pairs
+                                                    for level in report.levels)
         if scheme == "C":
             assert all(level.avg_pairs == 1 + level.steps for level in report.levels)
+        else:
+            assert all(level.avg_pairs == math.prod(2.0 / p for p in level.p_succ)
+                       for level in report.levels)
+            assert report.parallel_resources == math.prod(level.avg_pairs
+                                                          for level in report.levels)
         assert report.total_time == pytest.approx(_written_out_time(report), rel=1e-12)
 
 

@@ -14,8 +14,6 @@ from qrepeater.errors import (
 from qrepeater.states import BellDiagonalState, NoiseParams, WernerState
 
 PERFECT = NoiseParams()
-GRID_VALUES = (1.0, 0.995, 0.99, 0.97)
-GRID_FIDELITIES = (0.55, 0.7, 0.85, 0.97)
 
 
 def bell_states(min_weight=0.0):
@@ -92,32 +90,6 @@ class TestConnectL:
 
 
 class TestOracleEquivalence:
-    def test_connect_matches_oracle_on_grid(self):
-        worst = 0.0
-        for f in GRID_FIDELITIES:
-            werner = WernerState(f).to_bell_diagonal()
-            for p1 in GRID_VALUES:
-                for p2 in GRID_VALUES:
-                    for eta in GRID_VALUES:
-                        noise = NoiseParams(p1, p2, eta)
-                        got = orc.oracle_connect(werner, werner, noise).fidelity
-                        worst = max(worst, abs(got - maps.connect_L(f, 2, noise)))
-        assert worst <= 1e-12
-
-    def test_purify_bennett_matches_oracle_on_grid(self):
-        worst_f = worst_p = 0.0
-        for f in GRID_FIDELITIES:
-            werner = WernerState(f).to_bell_diagonal()
-            for p2 in GRID_VALUES:
-                for eta in GRID_VALUES:
-                    noise = NoiseParams(1.0, p2, eta)
-                    p_succ, out = orc.oracle_purify(werner, werner, noise, "bennett")
-                    ref = maps.purify_bennett(f, noise)
-                    worst_f = max(worst_f, abs(out.fidelity - ref.out_fidelity))
-                    worst_p = max(worst_p, abs(p_succ - ref.p_succ))
-        assert worst_f <= 1e-12
-        assert worst_p <= 1e-12
-
     def test_purify_deutsch_matches_oracle(self):
         rng = np.random.default_rng(2024)
         worst = 0.0
@@ -227,15 +199,14 @@ class TestPurifyDeutsch:
 
 class TestPurifyWithAux:
     def test_aux_equals_target_reduces_to_symmetric(self):
-        # one pumping step with aux == target is one step on parallel copies
+        # the first pumping step sacrifices the connected pair itself, as a parallel step does
         noise = NoiseParams.uniform(0.99)
-        state = BellDiagonalState((0.9, 0.06, 0.025, 0.015))
-        parallel = maps._purify_until(state, 0.905, noise, "deutsch")
-        pumped = maps._purify_until(state, 0.905, noise, "deutsch", aux=state)
-        assert len(parallel.steps) == len(pumped.steps) == 1
-        assert parallel.steps == pumped.steps
-        assert parallel.final_state == pumped.final_state
-        assert parallel.avg_pairs == 2.0 / parallel.steps[0][1]
+        parallel = one_level_run("B", 0.92, 2, noise, f_init=0.97)
+        pumped = one_level_run("C", 0.92, 2, noise, f_init=0.97)
+        assert parallel.steps == pumped.steps == 1
+        assert parallel.p_succ == pumped.p_succ
+        assert parallel.fidelity_achieved == pumped.fidelity_achieved
+        assert parallel.avg_pairs == 2.0 / parallel.p_succ[0]
         assert pumped.avg_pairs == 2.0
 
     def test_perfect_aux_never_reduces_werner_fidelity(self):
@@ -296,15 +267,31 @@ class TestFixedPoints:
         assert feasible and min(feasible) == pytest.approx(0.95, abs=1e-9)
 
 
-def one_level_run(scheme, working_fidelity, length, noise):
-    """Connect ``length`` pairs at the working fidelity and purify back up to it."""
+def one_level_run(scheme, working_fidelity, length, noise, f_init=None):
+    """Connect ``length`` pairs at ``f_init`` and purify back up to the working fidelity."""
+    f_init = working_fidelity if f_init is None else f_init
     return simulate(ProtocolConfig(n_segments=length, length=length, scheme=scheme,
-                                   f_init=working_fidelity, f_work=working_fidelity,
+                                   f_init=f_init, f_work=working_fidelity,
                                    noise=noise)).levels[0]
 
 
-def werner_connected(working_fidelity, length, noise):
-    return WernerState(maps.connect_L(working_fidelity, length, noise)).to_bell_diagonal()
+def purify_steps(scheme, working_fidelity, noise):
+    """The states after each purification step of a two-pair, one-level run, stepped directly."""
+    werner = WernerState(working_fidelity).to_bell_diagonal()
+    if scheme == "A":
+        connected = maps.connect_L(working_fidelity, 2, noise)
+        state = WernerState(connected).to_bell_diagonal()
+    else:
+        state = maps.connect_chain([werner, werner], noise)
+    protocol = "bennett" if scheme == "A" else "deutsch"
+    states, p_succ = [], []
+    while state.fidelity < working_fidelity and len(states) < 100:
+        outcome, state = maps.purify_with_aux(state, state, noise, protocol)
+        if scheme == "A":
+            state = WernerState(outcome.out_fidelity).to_bell_diagonal()
+        states.append(state)
+        p_succ.append(outcome.p_succ)
+    return states, tuple(p_succ)
 
 
 class TestStaircase:
@@ -319,12 +306,15 @@ class TestStaircase:
     def test_fidelities_strictly_increase(self, protocol):
         noise = NoiseParams.uniform(0.995)
         # the twirl-based protocol runs as in scheme A, re-depolarizing every step
-        trace = maps._purify_until(werner_connected(0.94, 2, noise), 0.94, noise, protocol,
-                                   depolarize=protocol == "bennett")
-        fids = [f for f, _ in trace.steps]
+        scheme = "A" if protocol == "bennett" else "B"
+        states, p_succ = purify_steps(scheme, 0.94, noise)
+        fids = [state.fidelity for state in states]
         assert len(fids) >= 2
         assert all(a < b for a, b in zip(fids, fids[1:]))
-        assert trace.final_state.fidelity == fids[-1] >= 0.94
+        # the level loop takes the same steps
+        level = one_level_run(scheme, 0.94, 2, noise)
+        assert level.p_succ == p_succ
+        assert level.fidelity_achieved == fids[-1] >= 0.94
 
     def test_avg_pairs_bounded_by_two_to_steps(self):
         noise = NoiseParams.uniform(0.995)
@@ -346,10 +336,10 @@ class TestStaircase:
 
     def test_deutsch_staircase_carries_state(self):
         noise = NoiseParams.uniform(0.995)
-        trace = maps._purify_until(werner_connected(0.96, 2, noise), 0.96, noise, "deutsch")
+        states, _ = purify_steps("B", 0.96, noise)
         # non-Werner output: phase-flip coefficient dominates the tail
-        assert trace.final_state.coeffs[1] > trace.final_state.coeffs[2]
-        assert len(trace.steps) == 2
+        assert states[-1].coeffs[1] > states[-1].coeffs[2]
+        assert len(states) == one_level_run("B", 0.96, 2, noise).steps == 2
 
 
 def assert_valid_state(state):
