@@ -134,6 +134,8 @@ def cmd_sweep_m(args) -> int:
         if not 0.5 <= q <= 1.0:
             raise ValidationError(f"--noise-list values must lie in [0.5, 1], got {q!r}")
     grid = _parse_grid(args.grid)
+    if not (0.25 <= grid[0] and grid[-1] <= 1.0):
+        raise ValidationError(f"--grid values must lie in [0.25, 1], got {args.grid!r}")
     if not 1 <= args.levels <= _MAX_LEVELS:
         raise ValidationError(f"--levels must lie in [1, {_MAX_LEVELS}], got {args.levels}")
     if args.L < 2:
@@ -149,6 +151,12 @@ def cmd_sweep_m(args) -> int:
         except InfeasibleError as exc:
             print(f"skipped: noise={q!r}: {exc}", file=sys.stderr)
             continue
+        except ValidationError:
+            # the flags are checked above, so what is left is a run whose totals overflow
+            raise ValidationError(
+                f"--levels {args.levels} is too deep for --L {args.L}: "
+                f"a run's totals exceed float range at noise {q!r}"
+            ) from None
         rows.extend((q, f, m_value) for f, m_value in result.curve)
     _write_output(args, _table(["noise", "working_fidelity", "avg_pairs_per_level"],
                                rows, args.format))

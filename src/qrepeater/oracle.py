@@ -1,8 +1,12 @@
 """Exact density-matrix simulation of noisy connection and purification circuits.
 
-Everything here works on dense complex matrices over at most four qubits
-(16 x 16), which is cheap and leaves no room for approximation error.  The
-module provides the imperfect-operation primitives (depolarizing-style gate
+The state is a dense complex density matrix over at most four qubits
+(16 x 16), which leaves no room for approximation error.  No operation
+builds a full-register operator: a gate is two matrix products on its
+target qubits' axes of the reshaped state, gate noise traces the targets
+out and puts them back maximally mixed, and a readout keeps the block whose
+row and column bits of the read qubit both equal the reading.  The module
+provides these imperfect-operation primitives (depolarizing-style gate
 noise and an imperfect projective readout) and builds the two circuits the
 analytic layer models in closed form:
 
@@ -42,11 +46,6 @@ CNOT = np.array(
 ROT_X_POS = (I2 - 1j * X) / np.sqrt(2.0)
 ROT_X_NEG = (I2 + 1j * X) / np.sqrt(2.0)
 
-_PROJ = (
-    np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
-    np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex),
-)
-
 _BRANCH_EPS = 1e-15
 
 
@@ -58,81 +57,74 @@ def _num_qubits(rho: np.ndarray) -> int:
     return n
 
 
-def _to_register_order(op: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
-    """Permute an operator on (targets..., rest...) into register order."""
-    n = _num_qubits(op)
-    order = list(targets) + [q for q in range(n) if q not in targets]
-    perm = [order.index(q) for q in range(n)]
-    tensor = op.reshape((2,) * (2 * n)).transpose(perm + [n + p for p in perm])
-    return tensor.reshape(op.shape)
-
-
-def embed(op: np.ndarray, n_qubits: int, targets: tuple[int, ...]) -> np.ndarray:
-    """Expand an operator acting on ``targets`` to the full register.
-
-    ``op`` is given in the tensor order of ``targets``; qubit 0 is the most
-    significant factor of the register.
-    """
-    targets = tuple(targets)
-    k = len(targets)
-    if len(set(targets)) != k:
+def _check_targets(targets: tuple[int, ...], n_qubits: int) -> None:
+    if len(set(targets)) != len(targets):
         raise ValidationError(f"duplicate target qubits {targets}")
     for t in targets:
         if not 0 <= t < n_qubits:
             raise ValidationError(f"qubit index {t} out of range for {n_qubits} qubits")
-    full = np.kron(op, np.eye(2 ** (n_qubits - k), dtype=complex))
-    return _to_register_order(full, targets)
 
 
-def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """Trace out every qubit not listed in ``keep`` (result in ``keep`` order)."""
+def _to_frame(rho: np.ndarray, targets: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``rho`` with the ``targets`` axes moved outermost, and the permutation used.
+
+    The frame has shape (K, R, R, K): the row index of the targets, in the
+    order given, then the other qubits' row and column indices in register
+    order, then the column index of the targets.  A gate on the targets is
+    then a plain matrix product on either side.
+    """
     n = _num_qubits(rho)
-    keep = tuple(keep)
-    traced = [q for q in range(n) if q not in keep]
-    tensor = rho.reshape((2,) * (2 * n))
-    # descending order keeps each remaining qubit's row axis at its original index
-    for q in sorted(traced, reverse=True):
-        tensor = np.trace(tensor, axis1=q, axis2=q + tensor.ndim // 2)
-    k = len(keep)
-    ascending = sorted(keep)
-    perm = [ascending.index(q) for q in keep]
-    tensor = tensor.transpose(perm + [k + p for p in perm])
-    return tensor.reshape(2 ** k, 2 ** k)
-
-
-def _mix_targets(rho: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
-    """Replace ``targets`` by the maximally mixed state, keeping their marginal."""
-    n = _num_qubits(rho)
+    targets = tuple(targets)
+    _check_targets(targets, n)
     rest = tuple(q for q in range(n) if q not in targets)
-    if not rest:
-        # keep the map linear: scale by the input trace
-        return np.trace(rho) * np.eye(rho.shape[0], dtype=complex) / rho.shape[0]
-    reduced = partial_trace(rho, rest)
-    k = len(targets)
-    mixed = np.kron(np.eye(2 ** k, dtype=complex) / 2 ** k, reduced)
-    return _to_register_order(mixed, targets)
+    axes = targets + rest + tuple(n + q for q in rest + targets)
+    k = 2 ** len(targets)
+    frame = rho.reshape((2,) * (2 * n)).transpose(axes)
+    return frame.reshape(k, rho.shape[0] // k, rho.shape[0] // k, k), axes
+
+
+def _from_frame(frame: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Inverse of :func:`_to_frame`: the frame back as a register-order matrix."""
+    back = sorted(range(len(axes)), key=axes.__getitem__)
+    dim = frame.shape[0] * frame.shape[1]
+    return frame.reshape((2,) * len(axes)).transpose(back).reshape(dim, dim)
+
+
+def _noisy_gate(rho: np.ndarray, gate: np.ndarray, targets: tuple[int, ...],
+                p: float) -> np.ndarray:
+    """``gate`` on ``targets`` (in their tensor order) with weight p, white noise otherwise.
+
+    The gate acts on the targets' own axes only; the noise traces the
+    targets out and puts them back maximally mixed, I/2 on each.
+    """
+    frame, axes = _to_frame(rho, targets)
+    k = frame.shape[0]
+    if gate.shape != (k, k):
+        raise ValidationError(f"gate of shape {gate.shape} does not act on {len(targets)} qubits")
+    ideal = ((gate @ frame.reshape(k, -1)).reshape(-1, k) @ gate.conj().T).reshape(frame.shape)
+    if p != 1.0:
+        reduced = ideal.trace(axis1=0, axis2=3) / k
+        mixed = np.eye(k)[:, None, None, :] * reduced[None, :, :, None]
+        ideal = p * ideal + (1.0 - p) * mixed
+    return _from_frame(ideal, axes)
 
 
 def apply_noisy_one_qubit(rho: np.ndarray, gate: np.ndarray, target: int,
                           p1: float) -> np.ndarray:
     """Imperfect one-qubit gate: ideal action with weight p1, white noise otherwise."""
-    n = _num_qubits(rho)
-    u = embed(gate, n, (target,))
-    ideal = u @ rho @ u.conj().T
-    if p1 == 1.0:
-        return ideal
-    return p1 * ideal + (1.0 - p1) * _mix_targets(ideal, (target,))
+    return _noisy_gate(rho, gate, (target,), p1)
 
 
 def apply_noisy_two_qubit(rho: np.ndarray, gate: np.ndarray,
                           targets: tuple[int, int], p2: float) -> np.ndarray:
     """Imperfect two-qubit gate: ideal action with weight p2, white noise otherwise."""
-    n = _num_qubits(rho)
-    u = embed(gate, n, targets)
-    ideal = u @ rho @ u.conj().T
-    if p2 == 1.0:
-        return ideal
-    return p2 * ideal + (1.0 - p2) * _mix_targets(ideal, targets)
+    return _noisy_gate(rho, gate, targets, p2)
+
+
+def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """Trace out every qubit not listed in ``keep`` (result in ``keep`` order)."""
+    frame, _ = _to_frame(rho, keep)
+    return frame.trace(axis1=1, axis2=2)
 
 
 def noisy_measure(rho: np.ndarray, target: int, eta: float):
@@ -144,12 +136,18 @@ def noisy_measure(rho: np.ndarray, target: int, eta: float):
     essentially zero probability are omitted.
     """
     n = _num_qubits(rho)
-    proj = [embed(p, n, (target,)) for p in _PROJ]
-    collapsed = [p @ rho @ p for p in proj]
+    _check_targets((target,), n)
+    before, after = 2 ** target, 2 ** (n - target - 1)
+    # axes: (higher qubits, target, lower qubits) for rows, then the same for columns
+    view = rho.reshape(before, 2, after, before, 2, after)
     branches = []
     for reading in (0, 1):
-        post = eta * collapsed[reading] + (1.0 - eta) * collapsed[1 - reading]
-        prob = float(np.trace(post).real)
+        # projecting on outcome b keeps the block whose row and column bits are both b
+        weights = np.zeros((2, 1, 1, 2, 1))
+        weights[reading, 0, 0, reading] = eta
+        weights[1 - reading, 0, 0, 1 - reading] = 1.0 - eta
+        post = (view * weights).reshape(rho.shape)
+        prob = float(post.trace().real)
         if prob < _BRANCH_EPS:
             continue
         branches.append((reading, prob, post / prob))
@@ -173,11 +171,7 @@ _OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 
 def bell_diagonal_to_dm(state: BellDiagonalState) -> np.ndarray:
     """4x4 density matrix of a Bell-diagonal state."""
-    rho = np.zeros((4, 4), dtype=complex)
-    for k, c in enumerate(state.coeffs):
-        v = _BELL[:, k]
-        rho += c * np.outer(v, v.conj())
-    return rho
+    return (_BELL * np.array(state.coeffs)) @ _BELL.conj().T
 
 
 def bell_coefficients(rho: np.ndarray) -> np.ndarray:
@@ -188,18 +182,20 @@ def bell_coefficients(rho: np.ndarray) -> np.ndarray:
     """
     if rho.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 matrix, got {rho.shape}")
-    off_diagonal = np.abs((_BELL.conj().T @ rho @ _BELL)[_OFF_DIAGONAL]).max()
+    in_bell = _BELL.conj().T @ rho @ _BELL
+    off_diagonal = np.abs(in_bell[_OFF_DIAGONAL]).max()
     if off_diagonal > 1e-12:
         raise NumericError(
             f"state is not Bell-diagonal: off-diagonal Bell-basis element "
             f"{off_diagonal:.3e} exceeds 1e-12"
         )
-    return np.array([(_BELL[:, k].conj() @ rho @ _BELL[:, k]).real for k in range(4)])
+    return in_bell.diagonal().real.copy()
 
 
 def _pair_product(pair_ab: BellDiagonalState, pair_cd: BellDiagonalState) -> np.ndarray:
     """Four-qubit product state: first pair on qubits (0, 1), second on (2, 3)."""
-    return np.kron(bell_diagonal_to_dm(pair_ab), bell_diagonal_to_dm(pair_cd))
+    first, second = bell_diagonal_to_dm(pair_ab), bell_diagonal_to_dm(pair_cd)
+    return (first[:, None, :, None] * second[None, :, None, :]).reshape(16, 16)
 
 
 def oracle_connect(pair_ab: BellDiagonalState, pair_bc: BellDiagonalState,
@@ -217,13 +213,12 @@ def oracle_connect(pair_ab: BellDiagonalState, pair_bc: BellDiagonalState,
     rho = _pair_product(pair_ab, pair_bc)
     rho = apply_noisy_two_qubit(rho, CNOT, (1, 2), noise.p2)
     # the basis change is part of the measurement decomposition, not a noisy gate
-    u = embed(HADAMARD, 4, (1,))
-    rho = u @ rho @ u.conj().T
+    rho = apply_noisy_one_qubit(rho, HADAMARD, 1, 1.0)
 
     averaged = np.zeros_like(rho)
     for m1, prob1, rho1 in noisy_measure(rho, 1, noise.eta):
         for m2, prob2, rho2 in noisy_measure(rho1, 2, noise.eta):
-            correction = np.linalg.matrix_power(Z, m1) @ np.linalg.matrix_power(X, m2)
+            correction = (Z if m1 else I2) @ (X if m2 else I2)
             corrected = apply_noisy_one_qubit(rho2, correction, 3, noise.p1)
             averaged += prob1 * prob2 * corrected
 
@@ -255,8 +250,7 @@ def oracle_purify(kept: BellDiagonalState, sacrificed: BellDiagonalState,
     if protocol == "deutsch":
         rotations = ((0, ROT_X_POS), (2, ROT_X_POS), (1, ROT_X_NEG), (3, ROT_X_NEG))
         for qubit, gate in rotations:
-            u = embed(gate, 4, (qubit,))
-            rho = u @ rho @ u.conj().T
+            rho = apply_noisy_one_qubit(rho, gate, qubit, 1.0)
 
     rho = apply_noisy_two_qubit(rho, CNOT, (0, 2), noise.p2)
     rho = apply_noisy_two_qubit(rho, CNOT, (1, 3), noise.p2)

@@ -177,10 +177,19 @@ class TestSweepM:
         (("--L", "100000", "--levels", "1000"),
          "error: --L to the power --levels 1000 exceeds float range\n"),
         (("--L", "1"), "error: --L must be at least 2, got 1\n"),
-    ], ids=["nan", "below-range", "power", "L-below-2"])
+        (("--L", "2", "--levels", "1000"),
+         "error: --levels 1000 is too deep for --L 2: a run's totals exceed float range "
+         "at noise 0.995\n"),
+    ], ids=["nan", "below-range", "power", "L-below-2", "totals-overflow"])
     def test_errors_name_the_flag(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "sweep-m", *argv, "--grid", "0.9:0.9:0.1")
         assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize("grid", ["0.1:0.3:0.1", "0.9:1.1:0.1"])
+    def test_grid_outside_fidelity_range_rejected(self, capsys, grid):
+        code, out, err = run_cli(capsys, "sweep-m", "--grid", grid)
+        assert (code, out, err) == (2, "", f"error: --grid values must lie in [0.25, 1], "
+                                           f"got {grid!r}\n")
 
     @pytest.mark.parametrize("noise_list", [",", ""])
     def test_empty_noise_list_rejected(self, capsys, noise_list):
@@ -329,10 +338,11 @@ class TestOracleCheck:
     def test_non_bell_diagonal_oracle_state_fails_in_one_line(self, capsys, monkeypatch):
         import numpy as np
         from qrepeater import oracle
+        from test_oracle import embed
 
         # a small Z rotation on one end of every input pair leaves Bell-basis coherences
         exact = oracle.bell_diagonal_to_dm
-        rotation = oracle.embed(np.diag([np.exp(-1e-3j), np.exp(1e-3j)]), 2, (0,))
+        rotation = embed(np.diag([np.exp(-1e-3j), np.exp(1e-3j)]), 2, (0,))
         monkeypatch.setattr(oracle, "bell_diagonal_to_dm",
                             lambda state: rotation @ exact(state) @ rotation.conj().T)
         code, out, err = run_cli(capsys, "oracle-check")

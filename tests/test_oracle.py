@@ -37,6 +37,128 @@ def choi_matrix(channel, n_qubits):
     return choi
 
 
+# Dense reference: the oracle's former primitives, which build every operator
+# on the full register with kron.  The contraction primitives must match it.
+
+
+def _to_register_order(op, targets):
+    """Permute an operator on (targets..., rest...) into register order."""
+    n = op.shape[0].bit_length() - 1
+    order = list(targets) + [q for q in range(n) if q not in targets]
+    perm = [order.index(q) for q in range(n)]
+    tensor = op.reshape((2,) * (2 * n)).transpose(perm + [n + p for p in perm])
+    return tensor.reshape(op.shape)
+
+
+def embed(op, n_qubits, targets):
+    """Expand an operator acting on ``targets`` (in their tensor order) to the register."""
+    k = len(targets)
+    full = np.kron(op, np.eye(2 ** (n_qubits - k), dtype=complex))
+    return _to_register_order(full, tuple(targets))
+
+
+def dense_partial_trace(rho, keep):
+    n = rho.shape[0].bit_length() - 1
+    tensor = rho.reshape((2,) * (2 * n))
+    # descending order keeps each remaining qubit's row axis at its original index
+    for q in sorted(set(range(n)) - set(keep), reverse=True):
+        tensor = np.trace(tensor, axis1=q, axis2=q + tensor.ndim // 2)
+    k = len(keep)
+    ascending = sorted(keep)
+    perm = [ascending.index(q) for q in keep]
+    return tensor.transpose(perm + [k + p for p in perm]).reshape(2 ** k, 2 ** k)
+
+
+def _mix_targets(rho, targets):
+    """Replace ``targets`` by the maximally mixed state, keeping their marginal."""
+    n = rho.shape[0].bit_length() - 1
+    rest = tuple(q for q in range(n) if q not in targets)
+    if not rest:
+        return np.trace(rho) * np.eye(rho.shape[0], dtype=complex) / rho.shape[0]
+    k = len(targets)
+    mixed = np.kron(np.eye(2 ** k, dtype=complex) / 2 ** k, dense_partial_trace(rho, rest))
+    return _to_register_order(mixed, tuple(targets))
+
+
+def dense_noisy_gate(rho, gate, targets, p):
+    u = embed(gate, rho.shape[0].bit_length() - 1, targets)
+    ideal = u @ rho @ u.conj().T
+    if p == 1.0:
+        return ideal
+    return p * ideal + (1.0 - p) * _mix_targets(ideal, targets)
+
+
+def dense_noisy_measure(rho, target, eta):
+    n = rho.shape[0].bit_length() - 1
+    proj = [embed(np.diag(e).astype(complex), n, (target,)) for e in ([1, 0], [0, 1])]
+    collapsed = [p @ rho @ p for p in proj]
+    branches = []
+    for reading in (0, 1):
+        post = eta * collapsed[reading] + (1.0 - eta) * collapsed[1 - reading]
+        prob = float(np.trace(post).real)
+        if prob >= 1e-15:
+            branches.append((reading, prob, post / prob))
+    return branches
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+seeds = st.integers(0, 2 ** 32 - 1)
+# a register of 2..4 qubits and an ordering of its qubits to draw targets from
+registers = st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), st.permutations(range(n))))
+gate_weights = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+ALL_PAIRS = list(itertools.permutations(range(4), 2))
+
+
+class TestAgainstDenseReference:
+    @given(seeds, registers, gate_weights)
+    def test_one_qubit_gate(self, seed, register, p):
+        rng = np.random.default_rng(seed)
+        n, order = register
+        rho, gate = random_density_matrix(rng, n), random_unitary(rng, 2)
+        got = orc.apply_noisy_one_qubit(rho, gate, order[0], p)
+        assert np.abs(got - dense_noisy_gate(rho, gate, (order[0],), p)).max() <= 1e-13
+
+    @given(seeds, registers, gate_weights)
+    def test_two_qubit_gate(self, seed, register, p):
+        rng = np.random.default_rng(seed)
+        n, order = register
+        rho, gate = random_density_matrix(rng, n), random_unitary(rng, 4)
+        got = orc.apply_noisy_two_qubit(rho, gate, order[:2], p)
+        assert np.abs(got - dense_noisy_gate(rho, gate, order[:2], p)).max() <= 1e-13
+
+    @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda pair: f"{pair[0]}-{pair[1]}")
+    def test_two_qubit_gate_on_every_ordered_pair(self, pair):
+        # reversed and non-adjacent pairs such as (2, 0) and (3, 1) included
+        rng = np.random.default_rng(ALL_PAIRS.index(pair))
+        rho, gate = random_density_matrix(rng, 4), random_unitary(rng, 4)
+        for p in (1.0, 0.9):
+            got = orc.apply_noisy_two_qubit(rho, gate, pair, p)
+            assert np.abs(got - dense_noisy_gate(rho, gate, pair, p)).max() <= 1e-13
+
+    @given(seeds, registers, st.one_of(st.just(0.5), st.just(1.0), st.floats(0.5, 1.0)))
+    def test_readout(self, seed, register, eta):
+        rng = np.random.default_rng(seed)
+        n, order = register
+        rho = random_density_matrix(rng, n)
+        got = orc.noisy_measure(rho, order[0], eta)
+        want = dense_noisy_measure(rho, order[0], eta)
+        assert [reading for reading, _, _ in got] == [reading for reading, _, _ in want]
+        for (_, prob, post), (_, want_prob, want_post) in zip(got, want):
+            assert abs(prob - want_prob) <= 1e-13
+            assert np.abs(post - want_post).max() <= 1e-13
+
+    @given(seeds, registers, st.integers(0, 4))
+    def test_partial_trace(self, seed, register, size):
+        n, order = register
+        rho = random_density_matrix(np.random.default_rng(seed), n)
+        keep = order[:size]
+        assert np.abs(orc.partial_trace(rho, keep) - dense_partial_trace(rho, keep)).max() <= 1e-13
+
+
 class TestNoiseParams:
     def test_ranges(self):
         with pytest.raises(ValidationError):
@@ -55,7 +177,7 @@ class TestOneQubitNoise:
     def test_p1_one_is_ideal(self):
         rng = np.random.default_rng(3)
         rho = random_density_matrix(rng, 2)
-        u = orc.embed(orc.X, 2, (1,))
+        u = embed(orc.X, 2, (1,))
         ideal = u @ rho @ u.conj().T
         out = orc.apply_noisy_one_qubit(rho, orc.X, 1, 1.0)
         assert np.allclose(out, ideal, atol=1e-14)
@@ -107,6 +229,11 @@ class TestTwoQubitNoise:
         rho = np.eye(4, dtype=complex) / 4
         with pytest.raises(ValidationError):
             orc.apply_noisy_two_qubit(rho, orc.CNOT, (1, 1), 1.0)
+
+    def test_gate_of_wrong_size_rejected(self):
+        rho = np.eye(8, dtype=complex) / 8
+        with pytest.raises(ValidationError, match="does not act on 2 qubits"):
+            orc.apply_noisy_two_qubit(rho, orc.X, (0, 2), 1.0)
 
 
 class TestMeasurement:
