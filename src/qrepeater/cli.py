@@ -41,7 +41,7 @@ def _fmt(x) -> str:
 
 
 def _parse_grid(spec: str) -> list[float]:
-    """Parse 'start:stop:step' (inclusive endpoints within half a step)."""
+    """Parse 'start:stop:step' of fidelities (inclusive endpoints within half a step)."""
     try:
         start, stop, step = (float(part) for part in spec.split(":"))
     except ValueError:
@@ -55,7 +55,10 @@ def _parse_grid(spec: str) -> list[float]:
         raise ValidationError(f"grid {spec!r} has more than {_MAX_GRID_POINTS} points")
     n = int(round(span))
     points = [start + i * step for i in range(n + 1)]
-    return [p for p in points if p <= stop + step * 1e-9]
+    points = [p for p in points if p <= stop + step * 1e-9]
+    if not (0.25 <= points[0] and points[-1] <= 1.0):
+        raise ValidationError(f"--grid values must lie in [0.25, 1], got {spec!r}")
+    return points
 
 
 def _parse_float_list(spec: str) -> list[float]:
@@ -134,8 +137,6 @@ def cmd_sweep_m(args) -> int:
         if not 0.5 <= q <= 1.0:
             raise ValidationError(f"--noise-list values must lie in [0.5, 1], got {q!r}")
     grid = _parse_grid(args.grid)
-    if not (0.25 <= grid[0] and grid[-1] <= 1.0):
-        raise ValidationError(f"--grid values must lie in [0.25, 1], got {args.grid!r}")
     if not 1 <= args.levels <= _MAX_LEVELS:
         raise ValidationError(f"--levels must lie in [1, {_MAX_LEVELS}], got {args.levels}")
     if args.L < 2:

@@ -16,9 +16,10 @@ Monte Carlo):
   compounds level over level.
 
 Each level of :func:`simulate` connects ``L`` pairs and then purifies, one
-``purify_with_aux`` step at a time, back up to the working fidelity; a step
-that gains nothing ends the run with an :class:`InfeasibleError` naming the
-level and the cause (``_stall_error``).
+step at a time, back up to the working fidelity; a step that gains nothing
+ends the run with an :class:`InfeasibleError` naming the level and the cause
+(``_stall_error``).  States are carried as checked Bell coefficient
+4-tuples through the coefficient kernels of :mod:`qrepeater.maps`.
 
 Resource accounting: a level that needs ``m`` purification steps consumes on
 average ``M = prod(2 / p_succ)`` parallel copies of its connected pair (in
@@ -42,8 +43,8 @@ from .errors import (
     ValidationError,
     WorkingFidelityUnreachableError,
 )
-from .maps import connect_chain, connect_L, purify_with_aux
-from .states import NoiseParams, WernerState
+from .maps import chain_coeffs, connect_L, purify_coeffs
+from .states import NoiseParams, checked_coeffs, werner_coeffs
 
 #: Least fidelity gain a purification step must make; a smaller one is a stall.
 _GAIN_EPS = 1e-13
@@ -107,7 +108,8 @@ class ProtocolConfig:
             raise ValidationError(
                 f"segment count {self.n_segments} is not a power of L={self.length}"
             )
-        for name in ("f_init", "f_work"):
+        # f_init defaults to f_work in the CLI, so a bad f_work is named first
+        for name in ("f_work", "f_init"):
             value = getattr(self, name)
             if not 0.25 <= value <= 1.0:
                 raise ValidationError(f"{name} must lie in [0.25, 1], got {value!r}")
@@ -207,34 +209,33 @@ def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterRep
         raise ValidationError(f"unknown purification protocol {protocol!r}")
 
     timing = config.timing
-    state = WernerState(config.f_init).to_bell_diagonal()
+    state = werner_coeffs(config.f_init)
     levels: list[LevelRecord] = []
     parallel = 1.0
     pairs = 1.0
     total_time = timing.tau_pair
     for level in range(1, config.n_levels + 1):
-        f_in = state.fidelity
+        f_in = state[0]
         if depolarize:
-            connected_f = connect_L(f_in, config.length, config.noise)
-            connected = WernerState(connected_f).to_bell_diagonal()
+            connected = werner_coeffs(connect_L(f_in, config.length, config.noise))
         else:
-            connected = connect_chain([state] * config.length, config.noise)
+            connected = chain_coeffs([state] * config.length, config.noise)
         # purify back up to f_work; overshoot past it is allowed and recorded
         state, p_succ = connected, []
         try:
-            while state.fidelity < config.f_work:
+            while state[0] < config.f_work:
                 if len(p_succ) >= _MAX_STEPS:
                     raise NumericError(
                         f"purification did not terminate within {_MAX_STEPS} steps"
                     )
-                outcome, purified = purify_with_aux(state, connected if pumped else state,
-                                                    config.noise, protocol)
+                p, out = purify_coeffs(state, connected if pumped else state,
+                                       config.noise, protocol)
+                purified = checked_coeffs(out)
                 if depolarize:
-                    purified = WernerState(outcome.out_fidelity).to_bell_diagonal()
-                if purified.fidelity <= state.fidelity + _GAIN_EPS:
-                    raise _stall_error(state.fidelity, connected.fidelity, config.f_work,
-                                       pumped)
-                p_succ.append(outcome.p_succ)
+                    purified = werner_coeffs(purified[0])
+                if purified[0] <= state[0] + _GAIN_EPS:
+                    raise _stall_error(state[0], connected[0], config.f_work, pumped)
+                p_succ.append(p)
                 state = purified
         except InfeasibleError as exc:
             raise _attach_level(exc, level)
@@ -244,8 +245,8 @@ def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterRep
             level=level,
             span_segments=config.length ** level,
             fidelity_in=f_in,
-            fidelity_connected=connected.fidelity,
-            fidelity_achieved=state.fidelity,
+            fidelity_connected=connected[0],
+            fidelity_achieved=state[0],
             steps=steps,
             p_succ=tuple(p_succ),
             avg_pairs=avg_pairs,
@@ -273,7 +274,7 @@ def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterRep
         noise=config.noise,
         timing=config.timing,
         levels=tuple(levels),
-        final_fidelity=state.fidelity,
+        final_fidelity=state[0],
         parallel_resources=float(config.n_levels + 1) if pumped else parallel,
         elementary_pairs=pairs,
         total_time=total_time,

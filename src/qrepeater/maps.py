@@ -11,8 +11,10 @@ post-selected (coinciding-readings) branches, including the two-qubit gate
 reliability factor.  With perfect gates they reduce to the familiar
 normalization denominators of the noiseless maps.
 
-Each function here is one map or one analysis of a map; iterating
-purification up to a working fidelity is the level loop of
+Each map is one kernel on coefficient 4-tuples (``connect_coeffs``, the
+chain fold ``chain_coeffs``, ``purify_coeffs``) that the state-object and
+fidelity maps wrap; every output they use passes ``checked_coeffs``.
+Iterating purification up to a working fidelity is the level loop of
 :func:`qrepeater.engine.simulate`.
 """
 from __future__ import annotations
@@ -26,14 +28,9 @@ from .errors import (
     PurificationImpossibleError,
     ValidationError,
 )
-from .states import BellDiagonalState, NoiseParams, WernerState
+from .states import BellDiagonalState, NoiseParams, checked_coeffs, werner_coeffs
 
 _PSUCC_EPS = 1e-15
-
-#: Bell-index permutation effected by the opposite-sign pi/2 rotations of the
-#: deutsch protocol: target and bit-flip states are fixed, the phase-flip and
-#: both-flip states swap.
-_DEUTSCH_PERM = (0, 3, 2, 1)
 
 #: Fidelities at which ``fixed_points`` scans for diagonal crossings: 750
 #: points, 1e-3 apart, from just above the maximally mixed state up to 1.
@@ -79,20 +76,18 @@ def connect_L(fidelity: float, length: int, noise: NoiseParams) -> float:
 
 
 def _convolve(v: Sequence[float], w: Sequence[float]) -> list[float]:
-    """Group convolution of Bell coefficient vectors (index XOR)."""
-    out = [0.0, 0.0, 0.0, 0.0]
-    for i in range(4):
-        vi = v[i]
-        if vi == 0.0:
-            continue
-        for j in range(4):
-            out[i ^ j] += vi * w[j]
-    return out
+    """Group convolution of Bell coefficient vectors: ``out[k] = sum_i v[i] * w[i ^ k]``."""
+    v0, v1, v2, v3 = v
+    w0, w1, w2, w3 = w
+    return [v0 * w0 + v1 * w1 + v2 * w2 + v3 * w3,
+            v0 * w1 + v1 * w0 + v2 * w3 + v3 * w2,
+            v0 * w2 + v1 * w3 + v2 * w0 + v3 * w1,
+            v0 * w3 + v1 * w2 + v2 * w1 + v3 * w0]
 
 
-def connect_states(pair_ab: BellDiagonalState, pair_bc: BellDiagonalState,
-                   noise: NoiseParams) -> BellDiagonalState:
-    """Bell-diagonal state after one noisy middle-node fusion of two pairs.
+def connect_coeffs(ab: Sequence[float], bc: Sequence[float],
+                   noise: NoiseParams) -> tuple[float, ...]:
+    """Unchecked Bell coefficients after one noisy middle-node fusion of two pairs.
 
     Readout errors shift the reading-conditioned correction by a Pauli flip,
     which acts as a convolution kernel; gate and correction failures mix in
@@ -104,38 +99,51 @@ def connect_states(pair_ab: BellDiagonalState, pair_bc: BellDiagonalState,
     kernel = (eta * eta, eta * (1.0 - eta), eta * (1.0 - eta), (1.0 - eta) ** 2)
     ideal_weight = noise.p1 * noise.p2
     mixed = (1.0 - ideal_weight) / 4.0
-    conv = _convolve(_convolve(pair_ab.coeffs, pair_bc.coeffs), kernel)
-    return BellDiagonalState(tuple(ideal_weight * c + mixed for c in conv))
+    conv = _convolve(_convolve(ab, bc), kernel)
+    return tuple(ideal_weight * c + mixed for c in conv)
 
 
-def connect_chain(pairs: Iterable[BellDiagonalState], noise: NoiseParams) -> BellDiagonalState:
-    """Fuse a chain of pairs with one noisy middle-node measurement per link."""
-    pairs = list(pairs)
+def chain_coeffs(pairs: Sequence[Sequence[float]], noise: NoiseParams) -> tuple[float, ...]:
+    """Checked coefficients of a chain fused left to right, one link at a time."""
     if not pairs:
         raise ValidationError("cannot connect an empty chain")
     state = pairs[0]
     for nxt in pairs[1:]:
-        state = connect_states(state, nxt, noise)
+        state = checked_coeffs(connect_coeffs(state, nxt, noise))
     return state
 
 
-def _general_purify(kept: Sequence[float], meas: Sequence[float],
-                    noise: NoiseParams, protocol: str) -> tuple[float, tuple[float, ...]]:
+def connect_states(pair_ab: BellDiagonalState, pair_bc: BellDiagonalState,
+                   noise: NoiseParams) -> BellDiagonalState:
+    """Bell-diagonal state after one noisy middle-node fusion (:func:`connect_coeffs`)."""
+    return BellDiagonalState(connect_coeffs(pair_ab.coeffs, pair_bc.coeffs, noise))
+
+
+def connect_chain(pairs: Iterable[BellDiagonalState], noise: NoiseParams) -> BellDiagonalState:
+    """Fuse a chain of pairs with one noisy middle-node measurement per link."""
+    return BellDiagonalState(chain_coeffs([pair.coeffs for pair in pairs], noise))
+
+
+def purify_coeffs(kept: Sequence[float], meas: Sequence[float],
+                  noise: NoiseParams, protocol: str) -> tuple[float, tuple[float, ...]]:
     """One noisy two-pair purification step on Bell coefficient vectors.
 
-    Returns ``(p_succ, output_coeffs)`` for the kept pair, post-selected on
-    coinciding detector readings.  ``alpha``/``beta`` are the coincidence
-    probabilities given matching/mismatching stored flip bits; failed gates
-    contribute a uniform floor.
+    Returns ``(p_succ, output_coeffs)``, unchecked, for the kept pair,
+    post-selected on coinciding detector readings.  ``alpha``/``beta`` are
+    the coincidence probabilities given matching/mismatching stored flip
+    bits; failed gates contribute a uniform floor.
     """
-    if protocol == "deutsch":
-        kept = [kept[i] for i in _DEUTSCH_PERM]
-        meas = [meas[i] for i in _DEUTSCH_PERM]
-    elif protocol != "bennett":
+    if protocol == "bennett":
+        a, b, c, d = kept
+        a2, b2, c2, d2 = meas
+    elif protocol == "deutsch":
+        # the opposite-sign pi/2 rotations fix the target and bit-flip states
+        # and swap the phase-flip and both-flip states (indices 1 and 3)
+        a, d, c, b = kept
+        a2, d2, c2, b2 = meas
+    else:
         raise ValidationError(f"unknown purification protocol {protocol!r}")
 
-    a, b, c, d = kept
-    a2, b2, c2, d2 = meas
     eta = noise.eta
     alpha = eta * eta + (1.0 - eta) ** 2
     beta = 2.0 * eta * (1.0 - eta)
@@ -161,9 +169,9 @@ def purify_bennett(fidelity: float, noise: NoiseParams) -> PurifyOutcome:
     The map acts on the fidelity alone; the output pair is depolarized back
     to Werner form before the next step, as the protocol prescribes.
     """
-    werner = WernerState(fidelity).to_bell_diagonal().coeffs
-    p_succ, out = _general_purify(werner, werner, noise, "bennett")
-    return PurifyOutcome(out[0], p_succ)
+    werner = werner_coeffs(fidelity)
+    p_succ, out = purify_coeffs(werner, werner, noise, "bennett")
+    return PurifyOutcome(checked_coeffs(out)[0], p_succ)
 
 
 def purify_with_aux(target: BellDiagonalState, aux: BellDiagonalState,
@@ -177,7 +185,7 @@ def purify_with_aux(target: BellDiagonalState, aux: BellDiagonalState,
     output is *not* depolarized, which is what makes it converge in fewer
     steps.
     """
-    p_succ, out = _general_purify(target.coeffs, aux.coeffs, noise, protocol)
+    p_succ, out = purify_coeffs(target.coeffs, aux.coeffs, noise, protocol)
     out_state = BellDiagonalState(out)
     return PurifyOutcome(out_state.fidelity, p_succ), out_state
 
@@ -185,16 +193,16 @@ def purify_with_aux(target: BellDiagonalState, aux: BellDiagonalState,
 def bennett_map(noise: NoiseParams) -> Callable[[float], float]:
     """The one-parameter fidelity map of one twirl-based purification step."""
     def fmap(fidelity: float) -> float:
-        return purify_bennett(fidelity, noise).out_fidelity
+        werner = werner_coeffs(fidelity)
+        return checked_coeffs(purify_coeffs(werner, werner, noise, "bennett")[1])[0]
     return fmap
 
 
 def deutsch_werner_map(noise: NoiseParams) -> Callable[[float], float]:
     """Fidelity after one rotation-based step applied to two Werner pairs."""
     def fmap(fidelity: float) -> float:
-        state = WernerState(fidelity).to_bell_diagonal()
-        outcome, _ = purify_with_aux(state, state, noise, "deutsch")
-        return outcome.out_fidelity
+        werner = werner_coeffs(fidelity)
+        return checked_coeffs(purify_coeffs(werner, werner, noise, "deutsch")[1])[0]
     return fmap
 
 

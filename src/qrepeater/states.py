@@ -11,6 +11,10 @@ With this ordering the index of a Bell state is a two-bit label
 (bit 0 = phase flip, bit 1 = bit flip) and composing flips is XOR on
 indices, which the connection algebra in :mod:`qrepeater.maps` relies on.
 
+``checked_coeffs`` is the one check of a Bell coefficient vector: the
+``BellDiagonalState`` constructor runs it, and so do the hot loops, which
+carry plain tuples (``werner_coeffs`` gives a Werner state's).
+
 ``NoiseParams`` holds the reliabilities of the imperfect operations that
 act on these states; the closed forms and the oracle share it.
 """
@@ -24,6 +28,39 @@ from .errors import ValidationError
 COEFF_ATOL = 1e-12
 
 
+def checked_coeffs(coeffs) -> tuple[float, float, float, float]:
+    """The four Bell coefficients as a checked tuple of floats.
+
+    Small negative round-off (>= -1e-12) is clamped to zero and the vector
+    renormalized; anything worse, a length other than 4, or a sum (NaN
+    included) farther than 1e-12 from 1 is rejected.
+    """
+    raw = tuple(map(float, coeffs))
+    if len(raw) != 4:
+        raise ValidationError(f"expected 4 Bell coefficients, got {len(raw)}")
+    a, b, c, d = raw
+    # a NaN takes this path too, and then fails the sum check
+    clamped = not (a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0)
+    if clamped:
+        for x in raw:
+            if x < -COEFF_ATOL:
+                raise ValidationError(f"Bell coefficient {x!r} is negative beyond tolerance")
+        raw = tuple(0.0 if x < 0.0 else x for x in raw)
+    total = sum(raw)
+    if not abs(total - 1.0) <= COEFF_ATOL:
+        raise ValidationError(f"Bell coefficients must sum to 1, got {total!r}")
+    return tuple(x / total for x in raw) if clamped else raw
+
+
+def werner_coeffs(fidelity: float) -> tuple[float, float, float, float]:
+    """Checked Bell coefficients of the Werner state of ``fidelity`` (in [1/4, 1])."""
+    f = float(fidelity)
+    if not 0.25 <= f <= 1.0:
+        raise ValidationError(f"Werner fidelity must lie in [0.25, 1.0], got {fidelity!r}")
+    off = (1.0 - f) / 3.0
+    return checked_coeffs((f, off, off, off))
+
+
 @dataclass(frozen=True)
 class WernerState:
     """Isotropic pair state, fully characterized by its fidelity.
@@ -35,48 +72,25 @@ class WernerState:
     fidelity: float
 
     def __post_init__(self):
-        f = float(self.fidelity)
-        if not 0.25 <= f <= 1.0:
-            raise ValidationError(
-                f"Werner fidelity must lie in [0.25, 1.0], got {self.fidelity!r}"
-            )
-        object.__setattr__(self, "fidelity", f)
+        # werner_coeffs holds the range check; its first coefficient is the fidelity
+        object.__setattr__(self, "fidelity", werner_coeffs(self.fidelity)[0])
 
     def to_bell_diagonal(self) -> "BellDiagonalState":
-        off = (1.0 - self.fidelity) / 3.0
-        return BellDiagonalState((self.fidelity, off, off, off))
+        return BellDiagonalState(werner_coeffs(self.fidelity))
 
 
 @dataclass(frozen=True)
 class BellDiagonalState:
     """Mixture of the four Bell states, stored as the four mixing probabilities.
 
-    Coefficients follow the package-wide ordering (target state first).
-    Small negative round-off (>= -1e-12) is clamped to zero and the state
-    renormalized; anything worse is rejected.
+    Coefficients follow the package-wide ordering (target state first) and
+    pass through :func:`checked_coeffs`.
     """
 
     coeffs: tuple[float, float, float, float]
 
     def __post_init__(self):
-        raw = tuple(float(c) for c in self.coeffs)
-        if len(raw) != 4:
-            raise ValidationError(f"expected 4 Bell coefficients, got {len(raw)}")
-        clamped = False
-        fixed = []
-        for c in raw:
-            if c < 0.0:
-                if c < -COEFF_ATOL:
-                    raise ValidationError(f"Bell coefficient {c!r} is negative beyond tolerance")
-                c = 0.0
-                clamped = True
-            fixed.append(c)
-        total = sum(fixed)
-        if abs(total - 1.0) > COEFF_ATOL:
-            raise ValidationError(f"Bell coefficients must sum to 1, got {total!r}")
-        if clamped:
-            fixed = [c / total for c in fixed]
-        object.__setattr__(self, "coeffs", tuple(fixed))
+        object.__setattr__(self, "coeffs", checked_coeffs(self.coeffs))
 
     @property
     def fidelity(self) -> float:

@@ -65,6 +65,15 @@ class TestConnectCurve:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["connect-curve", "purify-curve"])
+@pytest.mark.parametrize("grid", ["0.1:0.3:0.1", "0.9:1.1:0.1"])
+def test_curve_grid_outside_fidelity_range_names_the_flag(capsys, command, grid):
+    # the same message as sweep-m's, from the one grid parser
+    code, out, err = run_cli(capsys, command, "--grid", grid)
+    assert (code, out, err) == (2, "", f"error: --grid values must lie in [0.25, 1], "
+                                       f"got {grid!r}\n")
+
+
 class TestPurifyCurve:
     def test_noiseless_fixed_points_on_curve(self, capsys):
         code, out, _ = run_cli(capsys, "purify-curve", "--grid", "0.5:1.0:0.5")
@@ -265,6 +274,18 @@ class TestRepeaterCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and field in err
+
+    @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+    def test_bad_working_fidelity_is_named_not_its_default_copy(self, tmp_path, capsys,
+                                                                 by_config):
+        # f_init was never given: it defaults to f_work, so the error must name f_work
+        argv = ["repeater", "--scheme", "B", "--N", "16", "--f-work", "1.5"]
+        if by_config:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"scheme": "B", "N": 16, "f_work": 1.5}))
+            argv = ["repeater", "--config", str(config)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: f_work must lie in [0.25, 1], got 1.5\n")
 
     def test_config_accepts_integer_for_float_field(self, tmp_path, capsys):
         config = tmp_path / "run.json"

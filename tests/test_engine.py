@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qrepeater
+from qrepeater import engine, maps
 from qrepeater.engine import (
     ProtocolConfig,
     TimingModel,
@@ -16,7 +17,7 @@ from qrepeater.engine import (
     simulate,
 )
 from qrepeater.errors import AuxPurificationError, InfeasibleError, ValidationError
-from qrepeater.states import NoiseParams
+from qrepeater.states import BellDiagonalState, NoiseParams, WernerState
 
 NOISE = NoiseParams.uniform(0.995)
 
@@ -154,6 +155,93 @@ class TestLevelLoop:
             assert report.parallel_resources == math.prod(level.avg_pairs
                                                           for level in report.levels)
         assert report.total_time == pytest.approx(_written_out_time(report), rel=1e-12)
+
+
+def _stepped_level(config, protocol):
+    """Level 1 stepped through the public state-object maps, or None where a step stalls.
+
+    Returns ``(fidelity_connected, fidelity_achieved, p_succ)``.
+    """
+    noise, pumped = config.noise, config.scheme == "C"
+    pair = WernerState(config.f_init).to_bell_diagonal()
+    if config.scheme == "A":
+        connected = WernerState(maps.connect_L(pair.fidelity, config.length, noise))
+        connected = connected.to_bell_diagonal()
+    else:
+        connected = maps.connect_chain([pair] * config.length, noise)
+    state, p_succ = connected, []
+    while state.fidelity < config.f_work:
+        outcome, purified = maps.purify_with_aux(state, connected if pumped else state,
+                                                 noise, protocol)
+        if config.scheme == "A":
+            purified = WernerState(outcome.out_fidelity).to_bell_diagonal()
+        if purified.fidelity <= state.fidelity + 1e-13:
+            return None
+        p_succ.append(outcome.p_succ)
+        state = purified
+    return connected.fidelity, state.fidelity, tuple(p_succ)
+
+
+class TestLoopMatchesPublicMaps:
+    @given(scheme_protocol=st.sampled_from([("A", "bennett"), ("B", "deutsch"),
+                                            ("C", "deutsch"), ("C", "bennett")]),
+           q=st.floats(0.97, 1.0), f_init=st.floats(0.8, 1.0), f_work=st.floats(0.8, 0.999),
+           length=st.sampled_from([2, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_one_level_equals_stepping_the_public_maps(self, scheme_protocol, q, f_init,
+                                                       f_work, length):
+        scheme, protocol = scheme_protocol
+        config = make_config(scheme=scheme, n_segments=length, length=length, f_init=f_init,
+                             f_work=f_work, noise=NoiseParams.uniform(q))
+        want = _stepped_level(config, protocol)
+        if want is None:
+            with pytest.raises(InfeasibleError):
+                simulate(config, protocol)
+            return
+        level = simulate(config, protocol).levels[0]
+        assert (level.fidelity_connected, level.fidelity_achieved, level.p_succ) == want
+        assert level.steps == len(want[2])
+
+    @pytest.mark.parametrize("scheme", "ABC")
+    def test_purify_kernel_output_is_checked(self, monkeypatch, scheme):
+        def negative_output(kept, meas, noise, protocol):
+            return 0.5, (1.0 + 2e-12, -2e-12, 0.0, 0.0)
+
+        monkeypatch.setattr(engine, "purify_coeffs", negative_output)
+        with pytest.raises(ValidationError, match="negative beyond tolerance"):
+            simulate(make_config(scheme=scheme))
+
+    @pytest.mark.parametrize("scheme", "BC")
+    def test_connect_kernel_output_is_checked(self, monkeypatch, scheme):
+        monkeypatch.setattr(maps, "connect_coeffs",
+                            lambda ab, bc, noise: (0.5, 0.5, 0.5, 0.5))
+        with pytest.raises(ValidationError, match="must sum to 1"):
+            simulate(make_config(scheme=scheme))
+
+
+def test_optimization_and_fixed_points_build_no_state_objects(monkeypatch):
+    # one object per purify step would give thousands here
+    built = []
+
+    def counting(cls):
+        original = cls.__init__
+
+        def init(self, *args):
+            built.append(cls.__name__)
+            original(self, *args)
+        return init
+
+    for cls in (BellDiagonalState, WernerState):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    WernerState(0.9).to_bell_diagonal()
+    assert built == ["WernerState", "BellDiagonalState"]  # the counters are live
+    built.clear()
+    grid = tuple(0.86 + 0.0025 * i for i in range(55))
+    for protocol in ("bennett", "deutsch"):
+        optimize_working_fidelity(2, NOISE, protocol, grid, n_levels=10)
+    maps.fixed_points(maps.deutsch_werner_map(NOISE))
+    maps.fixed_points(maps.bennett_map(NOISE))
+    assert built == []
 
 
 class TestTiming:

@@ -60,6 +60,20 @@ def test_unnormalized_rejected():
         BellDiagonalState((0.5, 0.5, 0.5, 0.5))
 
 
+@pytest.mark.parametrize("position", range(4))
+def test_nan_coefficient_rejected(position):
+    # a NaN sum compares false against the tolerance, so the check must reject, not accept
+    coeffs = [1.0, 0.0, 0.0, 0.0]
+    coeffs[position] = float("nan")
+    with pytest.raises(ValidationError, match="must sum to 1"):
+        BellDiagonalState(tuple(coeffs))
+
+
+def test_nan_before_a_negative_still_names_the_negative():
+    with pytest.raises(ValidationError, match="negative beyond tolerance"):
+        BellDiagonalState((float("nan"), -0.5, 0.75, 0.75))
+
+
 @st.composite
 def bell_states(draw):
     # keep the target coefficient in the Werner domain so depolarizing stays defined
