@@ -172,7 +172,9 @@ def _config_from_args(args) -> ProtocolConfig:
                 file_values = json.load(handle)
         except OSError as exc:
             raise IOError(f"{args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        # ValueError covers bad JSON, bytes that are not UTF-8 and ints past the
+        # digit limit; deep nesting exhausts the decoder's recursion limit
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"config file {args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ValidationError(f"config file {args.config} must hold a JSON object")
@@ -185,7 +187,10 @@ def _config_from_args(args) -> ProtocolConfig:
         allowed = (int, float) if kind is float else kind
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise ValidationError(f"config field {key} must be {kind.__name__}, got {value!r}")
-        return kind(value)
+        try:
+            return kind(value)
+        except OverflowError:  # an int beyond float range
+            raise ValidationError(f"config field {key} exceeds float range") from None
 
     noise_fields, timing_fields = fields(NoiseParams), fields(TimingModel)
     known = {"scheme", "N", "L", "f_init", "f_work"} | {

@@ -189,7 +189,7 @@ def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterRep
     (A, B) or a re-created auxiliary pair (C).  ``protocol`` selects scheme
     C's purification protocol, ``"deutsch"`` by default; the twirl-based
     ``"bennett"`` fails the pumping condition and raises.  Schemes A and B
-    ignore it.
+    run their own protocol, but reject an unknown name all the same.
 
     Build time: elementary pairs take ``tau_pair``; every round at level k
     pays the local operation time and the classical signalling time across
@@ -199,16 +199,16 @@ def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterRep
     (sequentially), while the sub-builds within one creation run in parallel
     across their spans.
     """
+    if protocol not in (None, "bennett", "deutsch"):
+        raise ValidationError(f"unknown purification protocol {protocol!r}")
     pumped = config.scheme == "C"
     depolarize = config.scheme == "A"
     if not pumped:
         protocol = "bennett" if depolarize else "deutsch"
     elif protocol is None:
         protocol = "deutsch"
-    elif protocol not in ("bennett", "deutsch"):
-        raise ValidationError(f"unknown purification protocol {protocol!r}")
 
-    timing = config.timing
+    timing, noise, f_work = config.timing, config.noise, config.f_work
     state = werner_coeffs(config.f_init)
     levels: list[LevelRecord] = []
     parallel = 1.0
@@ -217,26 +217,25 @@ def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterRep
     for level in range(1, config.n_levels + 1):
         f_in = state[0]
         if depolarize:
-            connected = werner_coeffs(connect_L(f_in, config.length, config.noise))
+            connected = werner_coeffs(connect_L(f_in, config.length, noise))
         else:
-            connected = chain_coeffs([state] * config.length, config.noise)
+            connected = chain_coeffs([state] * config.length, noise)
         # purify back up to f_work; overshoot past it is allowed and recorded
-        state, p_succ = connected, []
+        state, fidelity, p_succ = connected, connected[0], []
         try:
-            while state[0] < config.f_work:
+            while fidelity < f_work:
                 if len(p_succ) >= _MAX_STEPS:
                     raise NumericError(
                         f"purification did not terminate within {_MAX_STEPS} steps"
                     )
-                p, out = purify_coeffs(state, connected if pumped else state,
-                                       config.noise, protocol)
+                p, out = purify_coeffs(state, connected if pumped else state, noise, protocol)
                 purified = checked_coeffs(out)
                 if depolarize:
                     purified = werner_coeffs(purified[0])
-                if purified[0] <= state[0] + _GAIN_EPS:
-                    raise _stall_error(state[0], connected[0], config.f_work, pumped)
+                if purified[0] <= fidelity + _GAIN_EPS:
+                    raise _stall_error(fidelity, connected[0], f_work, pumped)
                 p_succ.append(p)
-                state = purified
+                state, fidelity = purified, purified[0]
         except InfeasibleError as exc:
             raise _attach_level(exc, level)
         steps = len(p_succ)
@@ -246,7 +245,7 @@ def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterRep
             span_segments=config.length ** level,
             fidelity_in=f_in,
             fidelity_connected=connected[0],
-            fidelity_achieved=state[0],
+            fidelity_achieved=fidelity,
             steps=steps,
             p_succ=tuple(p_succ),
             avg_pairs=avg_pairs,
@@ -310,7 +309,7 @@ def average_pairs_per_level(length: int, noise: NoiseParams, protocol: str,
         f_work=working_fidelity,
         noise=noise,
     )
-    report = simulate(config)
+    report = simulate(config, protocol)  # simulate rejects an unknown protocol
     return report.parallel_resources ** (1.0 / n_levels)
 
 
@@ -327,10 +326,10 @@ def optimize_working_fidelity(length: int, noise: NoiseParams, protocol: str,
             continue
         curve.append((float(f_work), m_value))
     if not curve:
-        lo = min(infeasible) if infeasible else float("nan")
-        hi = max(infeasible) if infeasible else float("nan")
+        if not infeasible:
+            raise ValidationError("the working-fidelity grid f_grid is empty")
         raise InfeasibleError(
-            f"no feasible working fidelity on the grid [{lo}, {hi}]"
+            f"no feasible working fidelity on the grid [{min(infeasible)}, {max(infeasible)}]"
         )
     f_opt, m_min = min(curve, key=lambda item: item[1])
     return OptimizeResult(f_opt, m_min, tuple(curve), tuple(infeasible))

@@ -13,7 +13,10 @@ indices, which the connection algebra in :mod:`qrepeater.maps` relies on.
 
 ``checked_coeffs`` is the one check of a Bell coefficient vector: the
 ``BellDiagonalState`` constructor runs it, and so do the hot loops, which
-carry plain tuples (``werner_coeffs`` gives a Werner state's).
+carry plain tuples.  It is one pass in the common case (four ``float``
+calls, the sign tests, the sum test); clamping and renormalization run only
+when a coefficient is negative or NaN.  ``werner_coeffs`` gives a Werner
+state's coefficients, with its range check and the same sum test inline.
 
 ``NoiseParams`` holds the reliabilities of the imperfect operations that
 act on these states; the closed forms and the oracle share it.
@@ -33,19 +36,26 @@ def checked_coeffs(coeffs) -> tuple[float, float, float, float]:
 
     Small negative round-off (>= -1e-12) is clamped to zero and the vector
     renormalized; anything worse, a length other than 4, or a sum (NaN
-    included) farther than 1e-12 from 1 is rejected.
+    included) farther than 1e-12 from 1 is rejected.  The common case, no
+    coefficient negative or NaN, is one pass: four ``float`` calls, the
+    sign tests and the sum test.
     """
-    raw = tuple(map(float, coeffs))
+    raw = tuple(coeffs)
     if len(raw) != 4:
+        raw = tuple(map(float, raw))  # a value float() rejects is reported before the length
         raise ValidationError(f"expected 4 Bell coefficients, got {len(raw)}")
     a, b, c, d = raw
-    # a NaN takes this path too, and then fails the sum check
+    raw = a, b, c, d = float(a), float(b), float(c), float(d)
+    # a NaN takes the clamping path too, and then fails the sum check
     clamped = not (a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0)
     if clamped:
         for x in raw:
             if x < -COEFF_ATOL:
                 raise ValidationError(f"Bell coefficient {x!r} is negative beyond tolerance")
         raw = tuple(0.0 if x < 0.0 else x for x in raw)
+    elif abs(a + b + c + d - 1.0) <= COEFF_ATOL:
+        return raw
+    # only a clamped vector or a failing sum gets here; sum() gives both their total
     total = sum(raw)
     if not abs(total - 1.0) <= COEFF_ATOL:
         raise ValidationError(f"Bell coefficients must sum to 1, got {total!r}")
@@ -53,12 +63,19 @@ def checked_coeffs(coeffs) -> tuple[float, float, float, float]:
 
 
 def werner_coeffs(fidelity: float) -> tuple[float, float, float, float]:
-    """Checked Bell coefficients of the Werner state of ``fidelity`` (in [1/4, 1])."""
+    """Checked Bell coefficients of the Werner state of ``fidelity`` (in [1/4, 1]).
+
+    The coefficients are non-negative by construction, so only the range
+    and the sum test of :func:`checked_coeffs` apply; both run here inline.
+    """
     f = float(fidelity)
     if not 0.25 <= f <= 1.0:
         raise ValidationError(f"Werner fidelity must lie in [0.25, 1.0], got {fidelity!r}")
     off = (1.0 - f) / 3.0
-    return checked_coeffs((f, off, off, off))
+    total = f + off + off + off
+    if not abs(total - 1.0) <= COEFF_ATOL:
+        raise ValidationError(f"Bell coefficients must sum to 1, got {total!r}")
+    return f, off, off, off
 
 
 @dataclass(frozen=True)

@@ -262,6 +262,7 @@ class TestRepeaterCommand:
         (None, ("--tau-op", "nan"), "tau_op"),
         (None, ("--signal-speed", "inf"), "signal_speed"),
         (None, ("--segment-km", "inf"), "segment_km"),
+        ({"p1": 10 ** 400}, (), "p1"),
     ])
     def test_config_values_checked_by_type_and_finiteness(self, tmp_path, capsys,
                                                           file_values, flags, field):
@@ -286,6 +287,20 @@ class TestRepeaterCommand:
             argv = ["repeater", "--config", str(config)]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", "error: f_work must lie in [0.25, 1], got 1.5\n")
+
+    @pytest.mark.parametrize("content, cause", [
+        (b'{"N": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+        (b'{"scheme": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["int-digits", "not-utf8", "deep-nesting"])
+    def test_undecodable_config_file_is_one_error_line(self, tmp_path, capsys,
+                                                       content, cause):
+        config = tmp_path / "run.json"
+        config.write_bytes(content)
+        code, out, err = run_cli(capsys, "repeater", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config file {config}: {cause}")
+        assert err.count("\n") == 1
 
     def test_config_accepts_integer_for_float_field(self, tmp_path, capsys):
         config = tmp_path / "run.json"

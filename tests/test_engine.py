@@ -356,6 +356,18 @@ class TestOptimize:
         with pytest.raises(InfeasibleError):
             optimize_working_fidelity(2, noise, "bennett", [0.9, 0.95], n_levels=4)
 
+    @pytest.mark.parametrize("run", [optimize_working_fidelity, average_pairs_per_level])
+    def test_unknown_protocol_rejected(self, run):
+        # it used to run scheme B
+        point = [0.95] if run is optimize_working_fidelity else 0.95
+        with pytest.raises(ValidationError, match="^unknown purification protocol 'rotation'$"):
+            run(2, NOISE, "rotation", point, n_levels=4)
+
+    @pytest.mark.parametrize("grid", [[], (), iter(())], ids=["list", "tuple", "iterator"])
+    def test_empty_grid_rejected(self, grid):
+        with pytest.raises(ValidationError, match="grid f_grid is empty"):
+            optimize_working_fidelity(2, NOISE, "deutsch", grid, n_levels=4)
+
     def test_average_pairs_matches_report(self):
         m_avg = average_pairs_per_level(2, NOISE, "deutsch", 0.95, n_levels=6)
         report = simulate(make_config(scheme="B", n_segments=64,

@@ -1,8 +1,15 @@
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qrepeater.errors import ValidationError
-from qrepeater.states import BellDiagonalState, WernerState
+from qrepeater.states import (
+    COEFF_ATOL,
+    BellDiagonalState,
+    WernerState,
+    checked_coeffs,
+    werner_coeffs,
+)
 
 
 def test_werner_from_fidelity_pure():
@@ -96,3 +103,94 @@ def test_twirl_idempotent_and_preserving(state):
     assert WernerState(once.to_bell_diagonal().fidelity).fidelity == once.fidelity
     assert once.fidelity == state.fidelity
     assert sum(once.to_bell_diagonal().coeffs) == pytest.approx(1.0, abs=1e-12)
+
+
+def reference_checked_coeffs(coeffs):
+    """The check as it was before it became one pass: the reference it must match."""
+    raw = tuple(map(float, coeffs))
+    if len(raw) != 4:
+        raise ValidationError(f"expected 4 Bell coefficients, got {len(raw)}")
+    a, b, c, d = raw
+    clamped = not (a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0)
+    if clamped:
+        for x in raw:
+            if x < -COEFF_ATOL:
+                raise ValidationError(f"Bell coefficient {x!r} is negative beyond tolerance")
+        raw = tuple(0.0 if x < 0.0 else x for x in raw)
+    total = sum(raw)
+    if not abs(total - 1.0) <= COEFF_ATOL:
+        raise ValidationError(f"Bell coefficients must sum to 1, got {total!r}")
+    return tuple(x / total for x in raw) if clamped else raw
+
+
+def reference_werner_coeffs(fidelity):
+    f = float(fidelity)
+    if not 0.25 <= f <= 1.0:
+        raise ValidationError(f"Werner fidelity must lie in [0.25, 1.0], got {fidelity!r}")
+    off = (1.0 - f) / 3.0
+    return reference_checked_coeffs((f, off, off, off))
+
+
+def outcome(fn, arg):
+    """The repr of what a call returns (types and signed zeros included), or its error."""
+    try:
+        return "returned", repr(fn(arg))
+    except Exception as exc:  # the class and the message must match too
+        return type(exc), str(exc)
+
+
+#: Values at the edges of the check: signed zeros, round-off negatives at and
+#: past the tolerance, non-finite values and ints.
+EDGE_VALUES = st.sampled_from([
+    0.0, -0.0, 1.0, 0.5, 0.25, -1e-13, -COEFF_ATOL, -1.0000001e-12, -1e-9, -0.5,
+    float("nan"), float("inf"), -float("inf"), 0, 1, -1, 2,
+])
+ANY_VALUE = st.one_of(
+    EDGE_VALUES,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-COEFF_ATOL, 0.0),
+    st.integers(-3, 3),
+)
+CONTAINERS = st.sampled_from([tuple, list, lambda values: (x for x in values)])
+
+
+@st.composite
+def coefficient_inputs(draw):
+    """(container, values): mostly 4 values near a unit sum, so every path is reached."""
+    n = draw(st.sampled_from([4, 4, 4, 4, 3, 5]))
+    if draw(st.booleans()):
+        weights = [draw(st.floats(0.0, 1.0)) for _ in range(n)]
+        total = sum(weights) or 1.0
+        values = [w / total for w in weights]
+    else:
+        values = [draw(ANY_VALUE) for _ in range(n)]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        if draw(st.booleans()):
+            values[i] = draw(EDGE_VALUES)
+        else:
+            # a round-off negative whose weight moves to the next value, keeping the sum
+            values[(i + 1) % n] += values[i]
+            values[i] = -draw(st.floats(0.0, 2 * COEFF_ATOL))
+    values = [np.float64(v) if draw(st.booleans()) and isinstance(v, float) else v
+              for v in values]
+    return draw(CONTAINERS), values
+
+
+@settings(max_examples=500)
+@given(coefficient_inputs())
+def test_checked_coeffs_matches_reference(case):
+    container, values = case
+    assert outcome(checked_coeffs, container(values)) == \
+        outcome(reference_checked_coeffs, container(values))
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    EDGE_VALUES,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(0.25, 1.0),
+    st.floats(0.25, 1.0).map(np.float64),
+    st.integers(-1, 2),
+))
+def test_werner_coeffs_matches_reference(fidelity):
+    assert outcome(werner_coeffs, fidelity) == outcome(reference_werner_coeffs, fidelity)
