@@ -238,7 +238,7 @@ def cmd_oracle_check(args) -> int:
     from .oracle import closed_form_deviations  # the one subcommand that needs numpy
 
     try:
-        deviations = closed_form_deviations(args.perturb)
+        deviations = closed_form_deviations()
     except NumericError as exc:  # an oracle output left the Bell-diagonal form
         print(f"FAIL: {exc}")
         return EXIT_CHECK_FAILED
@@ -316,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check",
                        help="closed-form maps vs the density-matrix simulation")
-    p.add_argument("--perturb", type=float, default=0.0,
-                   help="test hook: offset added to the closed forms")
     p.set_defaults(func=cmd_oracle_check)
 
     return parser

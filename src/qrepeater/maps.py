@@ -20,7 +20,7 @@ Iterating purification up to a working fidelity is the level loop of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     DegeneratePostSelectionError,
@@ -119,11 +119,6 @@ def connect_states(pair_ab: BellDiagonalState, pair_bc: BellDiagonalState,
     return BellDiagonalState(connect_coeffs(pair_ab.coeffs, pair_bc.coeffs, noise))
 
 
-def connect_chain(pairs: Iterable[BellDiagonalState], noise: NoiseParams) -> BellDiagonalState:
-    """Fuse a chain of pairs with one noisy middle-node measurement per link."""
-    return BellDiagonalState(chain_coeffs([pair.coeffs for pair in pairs], noise))
-
-
 def purify_coeffs(kept: Sequence[float], meas: Sequence[float],
                   noise: NoiseParams, protocol: str) -> tuple[float, tuple[float, ...]]:
     """One noisy two-pair purification step on Bell coefficient vectors.
@@ -199,11 +194,13 @@ def bennett_map(noise: NoiseParams) -> Callable[[float], float]:
 
 
 def deutsch_werner_map(noise: NoiseParams) -> Callable[[float], float]:
-    """Fidelity after one rotation-based step applied to two Werner pairs."""
-    def fmap(fidelity: float) -> float:
-        werner = werner_coeffs(fidelity)
-        return checked_coeffs(purify_coeffs(werner, werner, noise, "deutsch")[1])[0]
-    return fmap
+    """Fidelity after one rotation-based step applied to two Werner pairs.
+
+    The rotation only swaps two equal Werner coefficients, so this is
+    :func:`bennett_map` bit for bit, kept under its own name for callers
+    that pick the map by protocol.
+    """
+    return bennett_map(noise)
 
 
 def _bisect(g: Callable[[float], float], lo: float, hi: float, g_lo: float) -> float:

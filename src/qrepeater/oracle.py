@@ -90,8 +90,8 @@ def _from_frame(frame: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return frame.reshape((2,) * len(axes)).transpose(back).reshape(dim, dim)
 
 
-def _noisy_gate(rho: np.ndarray, gate: np.ndarray, targets: tuple[int, ...],
-                p: float) -> np.ndarray:
+def apply_noisy_gate(rho: np.ndarray, gate: np.ndarray, targets: tuple[int, ...],
+                     p: float) -> np.ndarray:
     """``gate`` on ``targets`` (in their tensor order) with weight p, white noise otherwise.
 
     The gate acts on the targets' own axes only; the noise traces the
@@ -107,18 +107,6 @@ def _noisy_gate(rho: np.ndarray, gate: np.ndarray, targets: tuple[int, ...],
         mixed = np.eye(k)[:, None, None, :] * reduced[None, :, :, None]
         ideal = p * ideal + (1.0 - p) * mixed
     return _from_frame(ideal, axes)
-
-
-def apply_noisy_one_qubit(rho: np.ndarray, gate: np.ndarray, target: int,
-                          p1: float) -> np.ndarray:
-    """Imperfect one-qubit gate: ideal action with weight p1, white noise otherwise."""
-    return _noisy_gate(rho, gate, (target,), p1)
-
-
-def apply_noisy_two_qubit(rho: np.ndarray, gate: np.ndarray,
-                          targets: tuple[int, int], p2: float) -> np.ndarray:
-    """Imperfect two-qubit gate: ideal action with weight p2, white noise otherwise."""
-    return _noisy_gate(rho, gate, targets, p2)
 
 
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
@@ -211,15 +199,15 @@ def oracle_connect(pair_ab: BellDiagonalState, pair_bc: BellDiagonalState,
     coefficients of the joined pair are returned instead.
     """
     rho = _pair_product(pair_ab, pair_bc)
-    rho = apply_noisy_two_qubit(rho, CNOT, (1, 2), noise.p2)
+    rho = apply_noisy_gate(rho, CNOT, (1, 2), noise.p2)
     # the basis change is part of the measurement decomposition, not a noisy gate
-    rho = apply_noisy_one_qubit(rho, HADAMARD, 1, 1.0)
+    rho = apply_noisy_gate(rho, HADAMARD, (1,), 1.0)
 
     averaged = np.zeros_like(rho)
     for m1, prob1, rho1 in noisy_measure(rho, 1, noise.eta):
         for m2, prob2, rho2 in noisy_measure(rho1, 2, noise.eta):
             correction = (Z if m1 else I2) @ (X if m2 else I2)
-            corrected = apply_noisy_one_qubit(rho2, correction, 3, noise.p1)
+            corrected = apply_noisy_gate(rho2, correction, (3,), noise.p1)
             averaged += prob1 * prob2 * corrected
 
     reduced = partial_trace(averaged, (0, 3))
@@ -250,10 +238,10 @@ def oracle_purify(kept: BellDiagonalState, sacrificed: BellDiagonalState,
     if protocol == "deutsch":
         rotations = ((0, ROT_X_POS), (2, ROT_X_POS), (1, ROT_X_NEG), (3, ROT_X_NEG))
         for qubit, gate in rotations:
-            rho = apply_noisy_one_qubit(rho, gate, qubit, 1.0)
+            rho = apply_noisy_gate(rho, gate, (qubit,), 1.0)
 
-    rho = apply_noisy_two_qubit(rho, CNOT, (0, 2), noise.p2)
-    rho = apply_noisy_two_qubit(rho, CNOT, (1, 3), noise.p2)
+    rho = apply_noisy_gate(rho, CNOT, (0, 2), noise.p2)
+    rho = apply_noisy_gate(rho, CNOT, (1, 3), noise.p2)
 
     kept_sum = np.zeros_like(rho)
     p_succ = 0.0
@@ -272,14 +260,12 @@ def oracle_purify(kept: BellDiagonalState, sacrificed: BellDiagonalState,
     return p_succ, BellDiagonalState(tuple(coeffs))
 
 
-def closed_form_deviations(perturb: float) -> tuple[float, float, float, float]:
+def closed_form_deviations() -> tuple[float, float, float, float]:
     """Worst ``|closed form - oracle|`` on the check grid.
 
     Returns the maxima for connection fidelity, twirl-based purification
     fidelity, its ``p_succ``, and the rotation-based map (all four
     coefficients and ``p_succ``) on seeded random Bell-diagonal pairs.
-    ``perturb`` is added to the closed-form fidelities of the first two, so
-    a moved map can be shown to fail the check.
     """
     fidelities = (0.55, 0.7, 0.85, 0.97)
     values = (1.0, 0.995, 0.99, 0.97)
@@ -291,14 +277,14 @@ def closed_form_deviations(perturb: float) -> tuple[float, float, float, float]:
                 for eta in values:
                     noise = NoiseParams(p1, p2, eta)
                     got = oracle_connect(werner, werner, noise).fidelity
-                    want = maps.connect_L(f, 2, noise) + perturb
+                    want = maps.connect_L(f, 2, noise)
                     worst_connect = max(worst_connect, abs(got - want))
         for p2 in values:
             for eta in values:
                 noise = NoiseParams(1.0, p2, eta)
                 p_succ, out = oracle_purify(werner, werner, noise, "bennett")
                 ref = maps.purify_bennett(f, noise)
-                worst_pf = max(worst_pf, abs(out.fidelity - ref.out_fidelity - perturb))
+                worst_pf = max(worst_pf, abs(out.fidelity - ref.out_fidelity))
                 worst_pp = max(worst_pp, abs(p_succ - ref.p_succ))
 
     worst_deutsch = 0.0

@@ -39,7 +39,7 @@ def _line(name: str, ok: bool, detail: str) -> bool:
 
 def test_criterion_1_oracle_equivalence():
     start = time.monotonic()
-    worst = max(orc.closed_form_deviations(0.0))
+    worst = max(orc.closed_form_deviations())
     elapsed = time.monotonic() - start
     ok = worst <= 1e-12 and elapsed < 10.0
     assert _line("criterion 1 (oracle equivalence)", ok,

@@ -74,6 +74,17 @@ def test_curve_grid_outside_fidelity_range_names_the_flag(capsys, command, grid)
                                        f"got {grid!r}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("connect-curve", "--grid", "abc"), "grid must be 'start:stop:step', got 'abc'"),
+    (("connect-curve", "--grid", "0.9:0.5:0.1"), "bad grid '0.9:0.5:0.1'"),
+    (("connect-curve", "--grid", "0.5:0.9:0"), "bad grid '0.5:0.9:0'"),
+    (("sweep-m", "--noise-list", "a,b"), "expected comma-separated numbers, got 'a,b'"),
+], ids=["grid-not-numbers", "grid-descending", "grid-zero-step", "noise-list-not-numbers"])
+def test_malformed_spec_rejected(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestPurifyCurve:
     def test_noiseless_fixed_points_on_curve(self, capsys):
         code, out, _ = run_cli(capsys, "purify-curve", "--grid", "0.5:1.0:0.5")
@@ -302,6 +313,28 @@ class TestRepeaterCommand:
         assert err.startswith(f"error: config file {config}: {cause}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unreadable_config_file_is_an_io_error(self, tmp_path, capsys, name):
+        config = tmp_path / name
+        code, out, err = run_cli(capsys, "repeater", "--config", str(config))
+        assert (code, out) == (4, "")
+        assert err.startswith(f"i/o error: {config}: ") and err.count("\n") == 1
+
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text("[1, 2]")
+        code, out, err = run_cli(capsys, "repeater", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: config file {config} must hold a JSON object\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--L", "1"), "branching factor must be >= 2, got 1"),
+        (("--N", "2", "--L", "4"), "need at least 4 segments, got 2"),
+    ], ids=["L-below-2", "N-below-L"])
+    def test_chain_shape_rejected(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "repeater", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_config_accepts_integer_for_float_field(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"scheme": "B", "N": 4, "p1": 1, "f_work": 0.9}))
@@ -366,10 +399,15 @@ class TestOracleCheck:
         assert code == 0
         assert "PASS" in out
 
-    def test_perturbed_map_fails(self, capsys):
-        code, out, _ = run_cli(capsys, "oracle-check", "--perturb", "1e-9")
+    def test_perturbed_map_fails(self, capsys, monkeypatch):
+        from qrepeater import maps
+
+        exact = maps.connect_L
+        monkeypatch.setattr(maps, "connect_L", lambda f, length, noise:
+                            exact(f, length, noise) + 1e-9)
+        code, out, _ = run_cli(capsys, "oracle-check")
         assert code == 1
-        assert "FAIL" in out
+        assert out.splitlines()[-1] == "FAIL: max deviation 1.000e-09 exceeds 1e-12"
 
     def test_non_bell_diagonal_oracle_state_fails_in_one_line(self, capsys, monkeypatch):
         import numpy as np

@@ -168,7 +168,7 @@ def _stepped_level(config, protocol):
         connected = WernerState(maps.connect_L(pair.fidelity, config.length, noise))
         connected = connected.to_bell_diagonal()
     else:
-        connected = maps.connect_chain([pair] * config.length, noise)
+        connected = BellDiagonalState(maps.chain_coeffs([pair.coeffs] * config.length, noise))
     state, p_succ = connected, []
     while state.fidelity < config.f_work:
         outcome, purified = maps.purify_with_aux(state, connected if pumped else state,

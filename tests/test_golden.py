@@ -82,7 +82,6 @@ CASES = {
                                       "--purifier", "bennett"),
     "repeater_invalid_segments": ("repeater", "--scheme", "B", "--N", "12"),
     "oracle_check": ("oracle-check",),
-    "oracle_check_perturbed": ("oracle-check", "--perturb", "1e-9"),
 }
 
 

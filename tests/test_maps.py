@@ -7,6 +7,7 @@ from qrepeater import oracle as orc
 from qrepeater.engine import ProtocolConfig, simulate
 from qrepeater.errors import (
     BelowThresholdError,
+    DegeneratePostSelectionError,
     PurificationImpossibleError,
     ValidationError,
     WorkingFidelityUnreachableError,
@@ -231,6 +232,46 @@ class TestPurifyWithAux:
         assert stored.fidelity > pi0
 
 
+#: The four Bell states in the package ordering.
+BELL = dict(zip(("phi+", "phi-", "psi+", "psi-"),
+                ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                 (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))))
+
+#: (protocol, kept, sacrificed, whether no reading coincides with perfect operations)
+POST_SELECTION_CASES = [("bennett", kept, aux, True)
+                        for kept in ("phi+", "phi-") for aux in ("psi+", "psi-")] + [
+    ("deutsch", "phi+", "psi+", True),
+    ("deutsch", "phi-", "psi-", True),
+    ("deutsch", "phi+", "psi-", False),
+    ("deutsch", "phi-", "psi+", False),
+]
+
+
+@pytest.mark.parametrize("protocol, kept, aux, degenerate", POST_SELECTION_CASES)
+def test_vanishing_post_selection_agrees_with_oracle(protocol, kept, aux, degenerate):
+    kept, aux = BellDiagonalState(BELL[kept]), BellDiagonalState(BELL[aux])
+    if degenerate:
+        with pytest.raises(DegeneratePostSelectionError):
+            maps.purify_with_aux(kept, aux, PERFECT, protocol)
+        with pytest.raises(DegeneratePostSelectionError):
+            orc.oracle_purify(kept, aux, PERFECT, protocol)
+    else:
+        outcome, out = maps.purify_with_aux(kept, aux, PERFECT, protocol)
+        p_succ, want = orc.oracle_purify(kept, aux, PERFECT, protocol)
+        assert abs(outcome.p_succ - p_succ) <= 1e-12
+        assert max(abs(a - b) for a, b in zip(out.coeffs, want.coeffs)) <= 1e-12
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: maps.chain_coeffs([], PERFECT), "^cannot connect an empty chain$"),
+    (lambda: maps.purify_coeffs(BELL["phi+"], BELL["phi+"], PERFECT, "rotation"),
+     "^unknown purification protocol 'rotation'$"),
+], ids=["empty-chain", "unknown-protocol"])
+def test_kernels_reject_invalid_input(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 class TestFixedPoints:
     def test_noiseless_bennett(self):
         points = maps.fixed_points(maps.bennett_map(PERFECT))
@@ -282,7 +323,7 @@ def purify_steps(scheme, working_fidelity, noise):
         connected = maps.connect_L(working_fidelity, 2, noise)
         state = WernerState(connected).to_bell_diagonal()
     else:
-        state = maps.connect_chain([werner, werner], noise)
+        state = maps.connect_states(werner, werner, noise)
     protocol = "bennett" if scheme == "A" else "deutsch"
     states, p_succ = [], []
     while state.fidelity < working_fidelity and len(states) < 100:
@@ -385,6 +426,6 @@ class TestMapProperties:
 
     @given(bell_states(), bell_states(), bell_states(), noise_params)
     def test_connect_chain_associates(self, s1, s2, s3, noise):
-        left = maps.connect_chain([s1, s2, s3], noise).coeffs
+        left = maps.chain_coeffs([s1.coeffs, s2.coeffs, s3.coeffs], noise)
         right = maps.connect_states(s1, maps.connect_states(s2, s3, noise), noise).coeffs
         assert max(abs(a - b) for a, b in zip(left, right)) <= 1e-15

@@ -119,7 +119,7 @@ class TestAgainstDenseReference:
         rng = np.random.default_rng(seed)
         n, order = register
         rho, gate = random_density_matrix(rng, n), random_unitary(rng, 2)
-        got = orc.apply_noisy_one_qubit(rho, gate, order[0], p)
+        got = orc.apply_noisy_gate(rho, gate, (order[0],), p)
         assert np.abs(got - dense_noisy_gate(rho, gate, (order[0],), p)).max() <= 1e-13
 
     @given(seeds, registers, gate_weights)
@@ -127,7 +127,7 @@ class TestAgainstDenseReference:
         rng = np.random.default_rng(seed)
         n, order = register
         rho, gate = random_density_matrix(rng, n), random_unitary(rng, 4)
-        got = orc.apply_noisy_two_qubit(rho, gate, order[:2], p)
+        got = orc.apply_noisy_gate(rho, gate, order[:2], p)
         assert np.abs(got - dense_noisy_gate(rho, gate, order[:2], p)).max() <= 1e-13
 
     @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda pair: f"{pair[0]}-{pair[1]}")
@@ -136,7 +136,7 @@ class TestAgainstDenseReference:
         rng = np.random.default_rng(ALL_PAIRS.index(pair))
         rho, gate = random_density_matrix(rng, 4), random_unitary(rng, 4)
         for p in (1.0, 0.9):
-            got = orc.apply_noisy_two_qubit(rho, gate, pair, p)
+            got = orc.apply_noisy_gate(rho, gate, pair, p)
             assert np.abs(got - dense_noisy_gate(rho, gate, pair, p)).max() <= 1e-13
 
     @given(seeds, registers, st.one_of(st.just(0.5), st.just(1.0), st.floats(0.5, 1.0)))
@@ -179,13 +179,13 @@ class TestOneQubitNoise:
         rho = random_density_matrix(rng, 2)
         u = embed(orc.X, 2, (1,))
         ideal = u @ rho @ u.conj().T
-        out = orc.apply_noisy_one_qubit(rho, orc.X, 1, 1.0)
+        out = orc.apply_noisy_gate(rho, orc.X, (1,), 1.0)
         assert np.allclose(out, ideal, atol=1e-14)
 
     def test_p1_zero_fully_mixes_target(self):
         rng = np.random.default_rng(4)
         rho = random_density_matrix(rng, 2)
-        out = orc.apply_noisy_one_qubit(rho, orc.HADAMARD, 0, 0.0)
+        out = orc.apply_noisy_gate(rho, orc.HADAMARD, (0,), 0.0)
         marginal = orc.partial_trace(out, (0,))
         assert np.allclose(marginal, np.eye(2) / 2, atol=1e-12)
         assert np.allclose(orc.partial_trace(out, (1,)),
@@ -193,26 +193,26 @@ class TestOneQubitNoise:
 
     def test_identity_gate_on_ground_state(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
-        out = orc.apply_noisy_one_qubit(rho, orc.I2, 0, 0.995)
+        out = orc.apply_noisy_gate(rho, orc.I2, (0,), 0.995)
         assert np.allclose(np.diag(out).real, [0.9975, 0.0025], atol=1e-15)
 
     def test_index_out_of_range(self):
         rho = np.eye(4, dtype=complex) / 4
         with pytest.raises(ValidationError):
-            orc.apply_noisy_one_qubit(rho, orc.X, 5, 1.0)
+            orc.apply_noisy_gate(rho, orc.X, (5,), 1.0)
 
 
 class TestTwoQubitNoise:
     def test_p2_one_is_ideal_cnot(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[2, 2] = 1.0  # |10>
-        out = orc.apply_noisy_two_qubit(rho, orc.CNOT, (0, 1), 1.0)
+        out = orc.apply_noisy_gate(rho, orc.CNOT, (0, 1), 1.0)
         assert out[3, 3].real == pytest.approx(1.0)
 
     def test_p2_zero_fully_mixes_pair(self):
         rng = np.random.default_rng(5)
         rho = random_density_matrix(rng, 3)
-        out = orc.apply_noisy_two_qubit(rho, orc.CNOT, (0, 2), 0.0)
+        out = orc.apply_noisy_gate(rho, orc.CNOT, (0, 2), 0.0)
         assert np.allclose(orc.partial_trace(out, (0, 2)), np.eye(4) / 4, atol=1e-12)
 
     def test_noisy_cnot_on_bell_times_zero(self):
@@ -221,19 +221,19 @@ class TestTwoQubitNoise:
         bell = orc.bell_diagonal_to_dm(BellDiagonalState((1.0, 0.0, 0.0, 0.0)))
         ground = np.diag([1.0, 0.0]).astype(complex)
         rho = np.kron(bell, ground)
-        out = orc.apply_noisy_two_qubit(rho, orc.CNOT, (1, 2), 0.99)
+        out = orc.apply_noisy_gate(rho, orc.CNOT, (1, 2), 0.99)
         weight = orc.bell_coefficients(orc.partial_trace(out, (0, 1)))[0]
         assert weight == pytest.approx(0.4975, abs=1e-12)
 
     def test_duplicate_indices_rejected(self):
         rho = np.eye(4, dtype=complex) / 4
         with pytest.raises(ValidationError):
-            orc.apply_noisy_two_qubit(rho, orc.CNOT, (1, 1), 1.0)
+            orc.apply_noisy_gate(rho, orc.CNOT, (1, 1), 1.0)
 
     def test_gate_of_wrong_size_rejected(self):
         rho = np.eye(8, dtype=complex) / 8
         with pytest.raises(ValidationError, match="does not act on 2 qubits"):
-            orc.apply_noisy_two_qubit(rho, orc.X, (0, 2), 1.0)
+            orc.apply_noisy_gate(rho, orc.X, (0, 2), 1.0)
 
 
 class TestMeasurement:
@@ -269,22 +269,22 @@ class TestChannelStructure:
     def test_one_qubit_choi_positive(self):
         for p in (1.0, 0.97, 0.5, 0.0):
             choi = choi_matrix(
-                lambda rho, p=p: orc.apply_noisy_one_qubit(rho, orc.X, 0, p), 1
+                lambda rho, p=p: orc.apply_noisy_gate(rho, orc.X, (0,), p), 1
             )
             assert np.linalg.eigvalsh(choi).min() > -1e-10
 
     def test_two_qubit_choi_positive(self):
         for p in (1.0, 0.97, 0.3):
             choi = choi_matrix(
-                lambda rho, p=p: orc.apply_noisy_two_qubit(rho, orc.CNOT, (0, 1), p), 2
+                lambda rho, p=p: orc.apply_noisy_gate(rho, orc.CNOT, (0, 1), p), 2
             )
             assert np.linalg.eigvalsh(choi).min() > -1e-10
 
     def test_operations_preserve_density_matrix(self):
         rng = np.random.default_rng(7)
         rho = random_density_matrix(rng, 3)
-        out = orc.apply_noisy_two_qubit(rho, orc.CNOT, (0, 1), 0.97)
-        out = orc.apply_noisy_one_qubit(out, orc.HADAMARD, 2, 0.98)
+        out = orc.apply_noisy_gate(rho, orc.CNOT, (0, 1), 0.97)
+        out = orc.apply_noisy_gate(out, orc.HADAMARD, (2,), 0.98)
         assert_density_matrix(out)
 
 
