@@ -32,6 +32,9 @@ EXIT_IO = 4
 _MAX_GRID_POINTS = 100_000
 #: Most nesting levels sweep-m accepts, checked before L ** levels is formed.
 _MAX_LEVELS = 1_000
+#: The float parameters of ``repeater``: each is a config key and a flag.
+_FLOAT_KEYS = (tuple(f.name for f in fields(NoiseParams)) + ("f_init", "f_work")
+               + tuple(f.name for f in fields(TimingModel)))
 
 
 def _fmt(x) -> str:
@@ -192,15 +195,12 @@ def _config_from_args(args) -> ProtocolConfig:
         except OverflowError:  # an int beyond float range
             raise ValidationError(f"config field {key} exceeds float range") from None
 
-    noise_fields, timing_fields = fields(NoiseParams), fields(TimingModel)
-    known = {"scheme", "N", "L", "f_init", "f_work"} | {
-        f.name for f in noise_fields + timing_fields}
-    unknown = set(file_values) - known
+    unknown = set(file_values) - {"scheme", "N", "L", *_FLOAT_KEYS}
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
 
-    noise = NoiseParams(**{f.name: pick(f.name, f.default, float) for f in noise_fields})
-    timing = TimingModel(**{f.name: pick(f.name, f.default, float) for f in timing_fields})
+    noise = NoiseParams(**{f.name: pick(f.name, f.default, float) for f in fields(NoiseParams)})
+    timing = TimingModel(**{f.name: pick(f.name, f.default, float) for f in fields(TimingModel)})
     f_work = pick("f_work", 0.96, float)
     return ProtocolConfig(
         n_segments=pick("N", 16, int),
@@ -300,15 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=("A", "B", "C"))
     p.add_argument("--N", type=int, help="number of elementary segments")
     p.add_argument("--L", type=int)
-    p.add_argument("--p1", type=float)
-    p.add_argument("--p2", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--f-init", dest="f_init", type=float)
-    p.add_argument("--f-work", dest="f_work", type=float)
-    p.add_argument("--tau-op", dest="tau_op", type=float)
-    p.add_argument("--tau-pair", dest="tau_pair", type=float)
-    p.add_argument("--segment-km", dest="segment_km", type=float)
-    p.add_argument("--signal-speed", dest="signal_speed", type=float)
+    for key in _FLOAT_KEYS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=float)
     p.add_argument("--purifier", choices=("bennett", "deutsch"), default="deutsch",
                    help="purification protocol for scheme C")
     _add_output_flags(p, default_format="json")

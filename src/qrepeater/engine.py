@@ -18,8 +18,9 @@ Monte Carlo):
 Each level of :func:`simulate` connects ``L`` pairs and then purifies, one
 step at a time, back up to the working fidelity; a step that gains nothing
 ends the run with an :class:`InfeasibleError` naming the level and the cause
-(``_stall_error``).  States are carried as checked Bell coefficient
-4-tuples through the coefficient kernels of :mod:`qrepeater.maps`.
+(``_stall_error``), as does a level that needs more than ``_MAX_STEPS``
+steps.  States are carried as checked Bell coefficient 4-tuples through the
+coefficient kernels of :mod:`qrepeater.maps`.
 
 Resource accounting: a level that needs ``m`` purification steps consumes on
 average ``M = prod(2 / p_succ)`` parallel copies of its connected pair (in
@@ -39,7 +40,6 @@ from .errors import (
     AuxPurificationError,
     BelowThresholdError,
     InfeasibleError,
-    NumericError,
     ValidationError,
     WorkingFidelityUnreachableError,
 )
@@ -224,9 +224,10 @@ def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterRep
         state, fidelity, p_succ = connected, connected[0], []
         try:
             while fidelity < f_work:
-                if len(p_succ) >= _MAX_STEPS:
-                    raise NumericError(
-                        f"purification did not terminate within {_MAX_STEPS} steps"
+                if len(p_succ) >= _MAX_STEPS:  # reachable just inside the saddle node
+                    raise InfeasibleError(
+                        f"purification did not reach the working fidelity {f_work} "
+                        f"within {_MAX_STEPS} steps"
                     )
                 p, out = purify_coeffs(state, connected if pumped else state, noise, protocol)
                 purified = checked_coeffs(out)
@@ -291,40 +292,29 @@ class OptimizeResult:
     infeasible: tuple[float, ...]
 
 
-def average_pairs_per_level(length: int, noise: NoiseParams, protocol: str,
-                            working_fidelity: float, n_levels: int = 10) -> float:
-    """Geometric-mean parallel copies per level when holding a working fidelity.
-
-    Runs the nested protocol for ``n_levels`` levels with the elementary and
-    working fidelity both set to ``working_fidelity`` and averages the
-    per-level copy counts; discreteness makes individual levels overshoot
-    and undershoot, and the average is what the working point maintains.
-    """
-    scheme = "A" if protocol == "bennett" else "B"
-    config = ProtocolConfig(
-        n_segments=length ** n_levels,
-        length=length,
-        scheme=scheme,
-        f_init=working_fidelity,
-        f_work=working_fidelity,
-        noise=noise,
-    )
-    report = simulate(config, protocol)  # simulate rejects an unknown protocol
-    return report.parallel_resources ** (1.0 / n_levels)
-
-
 def optimize_working_fidelity(length: int, noise: NoiseParams, protocol: str,
                               f_grid, n_levels: int = 10) -> OptimizeResult:
-    """Sweep the working fidelity and minimize the per-level copy count."""
+    """Sweep the working fidelity and minimize the per-level copy count.
+
+    Each grid point runs ``n_levels`` levels of scheme A (``"bennett"``) or B
+    (``"deutsch"``) with the elementary and working fidelity both set to the
+    point, and takes the geometric mean of the per-level copy counts;
+    discreteness makes individual levels overshoot and undershoot, and the
+    average is what the working point maintains.
+    """
+    scheme = "A" if protocol == "bennett" else "B"
+    n_segments = length ** n_levels
     curve: list[tuple[float, float]] = []
     infeasible: list[float] = []
     for f_work in f_grid:
+        config = ProtocolConfig(n_segments=n_segments, length=length, scheme=scheme,
+                                f_init=f_work, f_work=f_work, noise=noise)
         try:
-            m_value = average_pairs_per_level(length, noise, protocol, f_work, n_levels)
+            report = simulate(config, protocol)  # simulate rejects an unknown protocol
         except InfeasibleError:
             infeasible.append(float(f_work))
             continue
-        curve.append((float(f_work), m_value))
+        curve.append((float(f_work), report.parallel_resources ** (1.0 / n_levels)))
     if not curve:
         if not infeasible:
             raise ValidationError("the working-fidelity grid f_grid is empty")

@@ -193,14 +193,9 @@ def bennett_map(noise: NoiseParams) -> Callable[[float], float]:
     return fmap
 
 
-def deutsch_werner_map(noise: NoiseParams) -> Callable[[float], float]:
-    """Fidelity after one rotation-based step applied to two Werner pairs.
-
-    The rotation only swaps two equal Werner coefficients, so this is
-    :func:`bennett_map` bit for bit, kept under its own name for callers
-    that pick the map by protocol.
-    """
-    return bennett_map(noise)
+# On Werner pairs the rotation-based step only swaps two equal coefficients,
+# so its fidelity map is the twirl-based one bit for bit.
+deutsch_werner_map = bennett_map
 
 
 def _bisect(g: Callable[[float], float], lo: float, hi: float, g_lo: float) -> float:

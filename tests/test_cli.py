@@ -3,13 +3,16 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 NOISE = ("--p1", "0.995", "--p2", "0.995", "--eta", "0.995")
 
 import qrepeater
-from qrepeater.cli import main
+from qrepeater.cli import build_parser, main
+from qrepeater.engine import TimingModel
+from qrepeater.states import NoiseParams
 
 
 def run_cli(capsys, *argv):
@@ -335,6 +338,19 @@ class TestRepeaterCommand:
         code, out, err = run_cli(capsys, "repeater", *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_flags_are_the_config_keys(self, tmp_path, capsys):
+        # every config key has a flag of the same name, and no other flag sets a run parameter
+        args = vars(build_parser().parse_args(["repeater"]))
+        dests = set(args) - {"command", "func", "config", "purifier", "out", "format"}
+        keys = {"scheme", "N", "L", "f_init", "f_work"} | {
+            f.name for f in fields(NoiseParams) + fields(TimingModel)}
+        assert dests == keys
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"scheme": "B", "N": 4, "L": 2}
+                                     | {key: 1.0 for key in keys - {"scheme", "N", "L"}}))
+        code, _, err = run_cli(capsys, "repeater", "--config", str(config))
+        assert code == 0, err
+
     def test_config_accepts_integer_for_float_field(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"scheme": "B", "N": 4, "p1": 1, "f_work": 0.9}))
@@ -360,6 +376,15 @@ class TestRepeaterCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: level ") and "elementary_pairs" in err
+
+    def test_step_cap_exits_infeasible(self, capsys):
+        # just inside the saddle node a level needs more than 10,000 purification steps
+        code, out, err = run_cli(capsys, "repeater", "--scheme", "A", "--N", "2",
+                                 "--p2", "0.9486833080505139", "--f-init", "0.8786459821416053",
+                                 "--f-work", "0.75011")
+        assert (code, out) == (3, "")
+        assert err == ("infeasible: level 1: purification did not reach the working fidelity "
+                       "0.75011 within 10000 steps\n")
 
     def test_scheme_c_bennett_variant_documented_failure(self, capsys):
         code, _, err = run_cli(capsys, "repeater", "--scheme", "C", "--N", "16",

@@ -12,7 +12,6 @@ from qrepeater import engine, maps
 from qrepeater.engine import (
     ProtocolConfig,
     TimingModel,
-    average_pairs_per_level,
     optimize_working_fidelity,
     simulate,
 )
@@ -88,6 +87,20 @@ class TestSimulateNested:
         with pytest.raises(InfeasibleError, match="level"):
             simulate(make_config(scheme="A", n_segments=256,
                                  f_init=0.9, f_work=0.9, noise=bad))
+
+    def test_step_cap_is_an_infeasibility_of_its_level(self):
+        # p2 is 1e-8 above the saddle node (~0.9486832981), where the map's
+        # slope at f_max tends to 1: the connected pair, just above f_min,
+        # needs ~70,000 steps to reach f_work, past the cap
+        noise = NoiseParams(1.0, 0.9486833080505139, 1.0)
+        config = make_config(scheme="A", n_segments=2, f_init=0.8786459821416053,
+                             f_work=0.75011, noise=noise)
+        with pytest.raises(InfeasibleError) as excinfo:
+            simulate(config)
+        assert excinfo.value.level == 1
+        assert str(excinfo.value) == (
+            f"level 1: purification did not reach the working fidelity 0.75011 "
+            f"within {engine._MAX_STEPS} steps")
 
     def test_feasibility_monotone_in_noise(self):
         # succeeding at q keeps succeeding when every reliability improves
@@ -356,12 +369,10 @@ class TestOptimize:
         with pytest.raises(InfeasibleError):
             optimize_working_fidelity(2, noise, "bennett", [0.9, 0.95], n_levels=4)
 
-    @pytest.mark.parametrize("run", [optimize_working_fidelity, average_pairs_per_level])
-    def test_unknown_protocol_rejected(self, run):
+    def test_unknown_protocol_rejected(self):
         # it used to run scheme B
-        point = [0.95] if run is optimize_working_fidelity else 0.95
         with pytest.raises(ValidationError, match="^unknown purification protocol 'rotation'$"):
-            run(2, NOISE, "rotation", point, n_levels=4)
+            optimize_working_fidelity(2, NOISE, "rotation", [0.95], n_levels=4)
 
     @pytest.mark.parametrize("grid", [[], (), iter(())], ids=["list", "tuple", "iterator"])
     def test_empty_grid_rejected(self, grid):
@@ -369,7 +380,7 @@ class TestOptimize:
             optimize_working_fidelity(2, NOISE, "deutsch", grid, n_levels=4)
 
     def test_average_pairs_matches_report(self):
-        m_avg = average_pairs_per_level(2, NOISE, "deutsch", 0.95, n_levels=6)
+        m_avg = optimize_working_fidelity(2, NOISE, "deutsch", [0.95], n_levels=6).m_min
         report = simulate(make_config(scheme="B", n_segments=64,
                                       f_init=0.95, f_work=0.95))
         assert m_avg == pytest.approx(report.parallel_resources ** (1 / 6))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from qrepeater.engine import ProtocolConfig, simulate
 from qrepeater.errors import (
     BelowThresholdError,
     DegeneratePostSelectionError,
+    NumericError,
     PurificationImpossibleError,
     ValidationError,
     WorkingFidelityUnreachableError,
@@ -262,13 +265,21 @@ def test_vanishing_post_selection_agrees_with_oracle(protocol, kept, aux, degene
         assert max(abs(a - b) for a, b in zip(out.coeffs, want.coeffs)) <= 1e-12
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: maps.chain_coeffs([], PERFECT), "^cannot connect an empty chain$"),
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: maps.chain_coeffs([], PERFECT), ValidationError, "^cannot connect an empty chain$"),
     (lambda: maps.purify_coeffs(BELL["phi+"], BELL["phi+"], PERFECT, "rotation"),
-     "^unknown purification protocol 'rotation'$"),
-], ids=["empty-chain", "unknown-protocol"])
-def test_kernels_reject_invalid_input(call, message):
-    with pytest.raises(ValidationError, match=message):
+     ValidationError, "^unknown purification protocol 'rotation'$"),
+    # 9 sign changes of map(F) - F on the scan grid
+    (lambda: maps.fixed_points(lambda f: f + 0.01 * math.sin(40 * f)),
+     NumericError, "^expected two diagonal crossings, found 9: "),
+    (lambda: orc.apply_noisy_gate(np.eye(3, dtype=complex) / 3, orc.X, (0,), 1.0),
+     ValidationError, r"^density matrix shape \(3, 3\) is not a power of two$"),
+    (lambda: orc.bell_coefficients(np.eye(8, dtype=complex) / 8),
+     ValidationError, r"^expected a 4x4 matrix, got \(8, 8\)$"),
+], ids=["empty-chain", "unknown-protocol", "odd-map", "oracle-non-power-of-two",
+        "oracle-not-4x4"])
+def test_kernels_reject_invalid_input(call, error, message):
+    with pytest.raises(error, match=message):
         call()
 
 
