@@ -117,10 +117,7 @@ def cmd_connect_curve(args) -> int:
 
 def cmd_purify_curve(args) -> int:
     noise = _noise_from_args(args)
-    rows = []
-    for f in _parse_grid(args.grid):
-        outcome = maps.purify_bennett(f, noise)
-        rows.append((f, outcome.out_fidelity, outcome.p_succ))
+    rows = [(f, *maps.purify_bennett(f, noise)) for f in _parse_grid(args.grid)]
     _write_output(args, _table(["fidelity_in", "fidelity_out", "p_succ"], rows, args.format))
     return EXIT_OK
 
@@ -271,21 +268,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("purify-curve", help="one purification step over a fidelity grid")
     p.add_argument("--grid", default="0.5:1.0:0.001")
-    p.add_argument("--protocol", choices=("bennett", "deutsch"), default="bennett",
+    p.add_argument("--protocol", choices=maps.PROTOCOLS, default="bennett",
                    help="either protocol gives the same output: on Werner pairs they are one map")
     _add_noise_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_purify_curve)
 
     p = sub.add_parser("fixed-points", help="fixed points of a purification map")
-    p.add_argument("--protocol", choices=("bennett", "deutsch"), default="bennett",
+    p.add_argument("--protocol", choices=maps.PROTOCOLS, default="bennett",
                    help="either protocol gives the same output: on Werner pairs they are one map")
     _add_noise_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_fixed_points)
 
     p = sub.add_parser("sweep-m", help="average copies per level vs working fidelity")
-    p.add_argument("--protocol", choices=("bennett", "deutsch"), default="bennett")
+    p.add_argument("--protocol", choices=maps.PROTOCOLS, default="bennett")
     p.add_argument("--L", type=int, default=2)
     p.add_argument("--noise-list", default="0.995",
                    help="comma-separated uniform reliability values")
@@ -302,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int)
     for key in _FLOAT_KEYS:
         p.add_argument("--" + key.replace("_", "-"), dest=key, type=float)
-    p.add_argument("--purifier", choices=("bennett", "deutsch"), default="deutsch",
+    p.add_argument("--purifier", choices=maps.PROTOCOLS, default="deutsch",
                    help="purification protocol for scheme C")
     _add_output_flags(p, default_format="json")
     p.set_defaults(func=cmd_repeater)
@@ -335,4 +332,4 @@ def entry() -> None:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
     WorkingFidelityUnreachableError,
 )
-from .maps import chain_coeffs, connect_L, purify_coeffs
+from .maps import PROTOCOLS, chain_coeffs, connect_L, purify_coeffs
 from .states import NoiseParams, checked_coeffs, werner_coeffs
 
 #: Least fidelity gain a purification step must make; a smaller one is a stall.
@@ -199,7 +199,7 @@ def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterRep
     (sequentially), while the sub-builds within one creation run in parallel
     across their spans.
     """
-    if protocol not in (None, "bennett", "deutsch"):
+    if protocol is not None and protocol not in PROTOCOLS:
         raise ValidationError(f"unknown purification protocol {protocol!r}")
     pumped = config.scheme == "C"
     depolarize = config.scheme == "A"

@@ -19,8 +19,7 @@ Iterating purification up to a working fidelity is the level loop of
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     DegeneratePostSelectionError,
@@ -30,6 +29,9 @@ from .errors import (
 )
 from .states import BellDiagonalState, NoiseParams, checked_coeffs, werner_coeffs
 
+#: The purification steps: twirl-based (Bennett et al.), rotation-based (Deutsch et al.).
+PROTOCOLS = ("bennett", "deutsch")
+
 _PSUCC_EPS = 1e-15
 
 #: Fidelities at which ``fixed_points`` scans for diagonal crossings: 750
@@ -37,16 +39,14 @@ _PSUCC_EPS = 1e-15
 _SCAN_GRID = tuple(0.251 + (1.0 - 0.251) * i / 749 for i in range(750))
 
 
-@dataclass(frozen=True)
-class PurifyOutcome:
+class PurifyOutcome(NamedTuple):
     """Result of one purification step: kept fidelity and success probability."""
 
     out_fidelity: float
     p_succ: float
 
 
-@dataclass(frozen=True)
-class FixedPoints:
+class FixedPoints(NamedTuple):
     """Lower (repelling) and upper (attracting) fixed points of a fidelity map."""
 
     f_min: float
@@ -170,8 +170,7 @@ def purify_bennett(fidelity: float, noise: NoiseParams) -> PurifyOutcome:
 
 
 def purify_with_aux(target: BellDiagonalState, aux: BellDiagonalState,
-                    noise: NoiseParams, protocol: str = "deutsch",
-                    ) -> tuple[PurifyOutcome, BellDiagonalState]:
+                    noise: NoiseParams, protocol: str) -> tuple[PurifyOutcome, BellDiagonalState]:
     """Purify ``target`` by sacrificing a (generally different) ``aux`` pair.
 
     Same circuits as the symmetric steps, with the auxiliary pair on the
@@ -186,11 +185,8 @@ def purify_with_aux(target: BellDiagonalState, aux: BellDiagonalState,
 
 
 def bennett_map(noise: NoiseParams) -> Callable[[float], float]:
-    """The one-parameter fidelity map of one twirl-based purification step."""
-    def fmap(fidelity: float) -> float:
-        werner = werner_coeffs(fidelity)
-        return checked_coeffs(purify_coeffs(werner, werner, noise, "bennett")[1])[0]
-    return fmap
+    """The fidelity view of :func:`purify_bennett`, the map ``fixed_points`` searches."""
+    return lambda fidelity: purify_bennett(fidelity, noise).out_fidelity
 
 
 # On Werner pairs the rotation-based step only swaps two equal coefficients,

@@ -220,7 +220,7 @@ def oracle_connect(pair_ab: BellDiagonalState, pair_bc: BellDiagonalState,
 
 
 def oracle_purify(kept: BellDiagonalState, sacrificed: BellDiagonalState,
-                  noise: NoiseParams, protocol: str = "bennett"):
+                  noise: NoiseParams, protocol: str):
     """Simulate one two-pair purification step; returns ``(p_succ, kept_state)``.
 
     The kept pair sits on qubits (0, 1), the sacrificed pair on (2, 3);
@@ -231,7 +231,7 @@ def oracle_purify(kept: BellDiagonalState, sacrificed: BellDiagonalState,
     of opposite sign on the two nodes: the model leaves the one-qubit gate
     noise p1 out of purification.
     """
-    if protocol not in ("bennett", "deutsch"):
+    if protocol not in maps.PROTOCOLS:
         raise ValidationError(f"unknown purification protocol {protocol!r}")
     rho = _pair_product(kept, sacrificed)
 

@@ -10,7 +10,7 @@ import pytest
 NOISE = ("--p1", "0.995", "--p2", "0.995", "--eta", "0.995")
 
 import qrepeater
-from qrepeater.cli import build_parser, main
+from qrepeater.cli import build_parser, entry, main
 from qrepeater.engine import TimingModel
 from qrepeater.states import NoiseParams
 
@@ -504,3 +504,18 @@ def test_oracle_check_loads_the_oracle_and_passes():
     assert err_lines == []
     # the probe sees the imports the analytic subcommands must not make
     assert {"numpy", "qrepeater.oracle"} <= imported
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["fixed-points"], 0, "f_min\tf_max\n0.5\t1\n", ""),
+    (["connect-curve", "--grid", "abc"], 2, "",
+     "error: grid must be 'start:stop:step', got 'abc'\n"),
+])
+def test_installed_script_entry_exits_with_main_code(capsys, monkeypatch,
+                                                     argv, code, out, err):
+    # entry() is what the installed `qrepeater` script runs; it reads sys.argv itself
+    monkeypatch.setattr(sys, "argv", ["qrepeater", *argv])
+    with pytest.raises(SystemExit) as exited:
+        entry()
+    assert exited.value.code == code
+    assert capsys.readouterr() == (out, err)

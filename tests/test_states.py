@@ -12,19 +12,11 @@ from qrepeater.states import (
 )
 
 
-def test_werner_from_fidelity_pure():
-    assert WernerState(1.0).to_bell_diagonal().coeffs == (1.0, 0.0, 0.0, 0.0)
-
-
-def test_werner_from_fidelity_maximally_mixed():
-    assert WernerState(0.25).to_bell_diagonal().coeffs == (0.25, 0.25, 0.25, 0.25)
-
-
-def test_werner_from_fidelity_generic():
-    coeffs = WernerState(0.9).to_bell_diagonal().coeffs
-    assert coeffs[0] == 0.9
-    for c in coeffs[1:]:
-        assert c == pytest.approx((1 - 0.9) / 3, abs=1e-15)
+@pytest.mark.parametrize("fidelity, rest", [(1.0, 0.0), (0.25, 0.25), (0.9, (1 - 0.9) / 3)],
+                         ids=["pure", "maximally_mixed", "generic"])
+def test_werner_state_coefficients(fidelity, rest):
+    coeffs = WernerState(fidelity).to_bell_diagonal().coeffs
+    assert coeffs == (fidelity, rest, rest, rest)
     assert sum(coeffs) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -34,18 +26,18 @@ def test_werner_fidelity_domain(bad):
         WernerState(bad)
 
 
-def test_twirl_trivial_cases():
+def test_werner_state_keeps_a_bell_diagonal_fidelity():
     assert WernerState(BellDiagonalState((1.0, 0.0, 0.0, 0.0)).fidelity).fidelity == 1.0
     assert WernerState(BellDiagonalState((0.7, 0.3, 0.0, 0.0)).fidelity).fidelity == 0.7
     assert WernerState(BellDiagonalState((0.25, 0.25, 0.25, 0.25)).fidelity).fidelity == 0.25
 
 
-def test_fidelity_of():
+def test_bell_diagonal_fidelity_is_the_target_coefficient():
     assert BellDiagonalState((1.0, 0.0, 0.0, 0.0)).fidelity == 1.0
     assert BellDiagonalState((0.6, 0.2, 0.1, 0.1)).fidelity == 0.6
 
 
-def test_twirl_round_trip_on_werner():
+def test_werner_round_trip_keeps_the_fidelity():
     for f in (0.25, 0.3, 0.5, 0.77, 0.9, 1.0):
         state = WernerState(f).to_bell_diagonal()
         assert WernerState(state.fidelity).fidelity == state.fidelity == state.coeffs[0]
@@ -97,7 +89,7 @@ def bell_states(draw):
 
 
 @given(bell_states())
-def test_twirl_idempotent_and_preserving(state):
+def test_werner_projection_idempotent_and_fidelity_preserving(state):
     # depolarizing keeps the target coefficient and symmetrizes the rest
     once = WernerState(state.fidelity)
     assert WernerState(once.to_bell_diagonal().fidelity).fidelity == once.fidelity
@@ -194,3 +186,9 @@ def test_checked_coeffs_matches_reference(case):
 ))
 def test_werner_coeffs_matches_reference(fidelity):
     assert outcome(werner_coeffs, fidelity) == outcome(reference_werner_coeffs, fidelity)
+
+
+@given(st.floats(0.25, 1.0))
+def test_werner_coeffs_sum_within_rounding(fidelity):
+    # the bound in werner_coeffs' docstring, which is why it runs no sum test
+    assert abs(sum(werner_coeffs(fidelity)) - 1.0) <= 1e-15
