@@ -49,6 +49,13 @@ from .states import NoiseParams, checked_coeffs, werner_coeffs
 #: Least fidelity gain a purification step must make; a smaller one is a stall.
 _GAIN_EPS = 1e-13
 _MAX_STEPS = 10_000
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _require_int(name: str, value) -> None:
+    # bool is an int subclass, and would pass as 0 or 1
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +101,8 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.scheme not in ("A", "B", "C"):
             raise ValidationError(f"scheme must be one of A, B, C, got {self.scheme!r}")
+        _require_int("length", self.length)
+        _require_int("n_segments", self.n_segments)
         if self.length < 2:
             raise ValidationError(f"branching factor must be >= 2, got {self.length}")
         if self.n_segments < self.length:
@@ -180,24 +189,15 @@ def _stall_error(stalled: float, connected: float, f_work: float,
     )
 
 
-def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterReport:
-    """Run the nested protocol: per level, connect ``L`` pairs, then purify to ``f_work``.
+def _run_levels(config: ProtocolConfig, protocol: str | None):
+    """The level loop behind :func:`simulate` and :func:`optimize_working_fidelity`.
 
-    The scheme fixes the two things that differ between the variants: whether
-    states are depolarized to Werner form after every map (scheme A), and
-    where a purification step gets its copy: a parallel copy of the pair
-    (A, B) or a re-created auxiliary pair (C).  ``protocol`` selects scheme
-    C's purification protocol, ``"deutsch"`` by default; the twirl-based
-    ``"bennett"`` fails the pumping condition and raises.  Schemes A and B
-    run their own protocol, but reject an unknown name all the same.
-
-    Build time: elementary pairs take ``tau_pair``; every round at level k
-    pays the local operation time and the classical signalling time across
-    the level's span.  With parallel copies a level costs one connection
-    round plus one round per purification step.  In scheme C the auxiliary
-    pair of every step is re-created from scratch through all lower levels
-    (sequentially), while the sub-builds within one creation run in parallel
-    across their spans.
+    Everything that decides a run happens here: the protocol check, scheme
+    A's Werner projection, the check of every kernel output, the step cap
+    and stall errors, and the pairs and time recurrences with their
+    finiteness check.  Returns ``(rows, final_fidelity, parallel, pairs,
+    total_time)``, where each row is one level's ``(span_segments,
+    fidelity_in, fidelity_connected, fidelity_achieved, p_succ, avg_pairs)``.
     """
     if protocol is not None and protocol not in PROTOCOLS:
         raise ValidationError(f"unknown purification protocol {protocol!r}")
@@ -208,18 +208,18 @@ def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterRep
     elif protocol is None:
         protocol = "deutsch"
 
-    timing, noise, f_work = config.timing, config.noise, config.f_work
+    timing, noise, f_work, length = config.timing, config.noise, config.f_work, config.length
     state = werner_coeffs(config.f_init)
-    levels: list[LevelRecord] = []
+    rows = []
     parallel = 1.0
     pairs = 1.0
     total_time = timing.tau_pair
     for level in range(1, config.n_levels + 1):
         f_in = state[0]
         if depolarize:
-            connected = werner_coeffs(connect_L(f_in, config.length, noise))
+            connected = werner_coeffs(connect_L(f_in, length, noise))
         else:
-            connected = chain_coeffs([state] * config.length, noise)
+            connected = chain_coeffs([state] * length, noise)
         # purify back up to f_work; overshoot past it is allowed and recorded
         state, fidelity, p_succ = connected, connected[0], []
         try:
@@ -241,29 +241,50 @@ def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterRep
             raise _attach_level(exc, level)
         steps = len(p_succ)
         avg_pairs = 1.0 + steps if pumped else math.prod((2.0 / p for p in p_succ), start=1.0)
-        levels.append(LevelRecord(
-            level=level,
-            span_segments=config.length ** level,
-            fidelity_in=f_in,
-            fidelity_connected=connected[0],
-            fidelity_achieved=fidelity,
-            steps=steps,
-            p_succ=tuple(p_succ),
-            avg_pairs=avg_pairs,
-        ))
+        span = length ** level
+        rows.append((span, f_in, connected[0], fidelity, p_succ, avg_pairs))
         parallel *= avg_pairs
-        pairs *= config.length * avg_pairs
-        round_time = timing.tau_op + timing.comm_time(config.length ** level)
+        pairs *= length * avg_pairs
+        round_time = timing.tau_op + timing.comm_time(span)
         if pumped:
             t_pair = total_time + round_time
             total_time = t_pair + steps * (t_pair + round_time)
         else:
             total_time += (1 + steps) * round_time
-        # parallel_resources never exceeds elementary_pairs, so it stays finite with it
+        # parallel never exceeds pairs, so it stays finite with it
         for name, value in (("elementary_pairs", pairs), ("total_time", total_time)):
             if not math.isfinite(value):
                 raise ValidationError(f"level {level}: {name} exceeds float range")
+    return rows, state[0], parallel, pairs, total_time
 
+
+def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterReport:
+    """Run the nested protocol: per level, connect ``L`` pairs, then purify to ``f_work``.
+
+    The scheme fixes the two things that differ between the variants: whether
+    states are depolarized to Werner form after every map (scheme A), and
+    where a purification step gets its copy: a parallel copy of the pair
+    (A, B) or a re-created auxiliary pair (C).  ``protocol`` selects scheme
+    C's purification protocol, ``"deutsch"`` by default; the twirl-based
+    ``"bennett"`` fails the pumping condition and raises.  Schemes A and B
+    run their own protocol, but reject an unknown name all the same.
+
+    Build time: elementary pairs take ``tau_pair``; every round at level k
+    pays the local operation time and the classical signalling time across
+    the level's span.  With parallel copies a level costs one connection
+    round plus one round per purification step.  In scheme C the auxiliary
+    pair of every step is re-created from scratch through all lower levels
+    (sequentially), while the sub-builds within one creation run in parallel
+    across their spans.
+    """
+    rows, final_fidelity, parallel, pairs, total_time = _run_levels(config, protocol)
+    pumped = config.scheme == "C"
+    levels = tuple(
+        LevelRecord(level=level, span_segments=span, fidelity_in=f_in,
+                    fidelity_connected=f_connected, fidelity_achieved=f_achieved,
+                    steps=len(p_succ), p_succ=tuple(p_succ), avg_pairs=avg_pairs)
+        for level, (span, f_in, f_connected, f_achieved, p_succ, avg_pairs)
+        in enumerate(rows, start=1))
     return RepeaterReport(
         scheme=config.scheme,
         n_segments=config.n_segments,
@@ -273,8 +294,8 @@ def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterRep
         f_work=config.f_work,
         noise=config.noise,
         timing=config.timing,
-        levels=tuple(levels),
-        final_fidelity=state[0],
+        levels=levels,
+        final_fidelity=final_fidelity,
         parallel_resources=float(config.n_levels + 1) if pumped else parallel,
         elementary_pairs=pairs,
         total_time=total_time,
@@ -300,8 +321,20 @@ def optimize_working_fidelity(length: int, noise: NoiseParams, protocol: str,
     (``"deutsch"``) with the elementary and working fidelity both set to the
     point, and takes the geometric mean of the per-level copy counts;
     discreteness makes individual levels overshoot and undershoot, and the
-    average is what the working point maintains.
+    average is what the working point maintains.  Each point is a checked
+    :class:`ProtocolConfig` run through the level loop of :func:`simulate`,
+    without building its per-level records or report.
     """
+    _require_int("length", length)
+    _require_int("n_levels", n_levels)
+    if n_levels < 1:
+        raise ValidationError(f"n_levels must be >= 1, got {n_levels}")
+    # by logarithm, so that a huge n_levels builds no huge power before the check;
+    # ProtocolConfig checks length itself, and the exact float range of the power
+    if length >= 2 and n_levels * math.log(length) > _LOG_FLOAT_MAX:
+        raise ValidationError(
+            f"length ** n_levels ({length} ** {n_levels}) exceeds float range"
+        )
     scheme = "A" if protocol == "bennett" else "B"
     n_segments = length ** n_levels
     curve: list[tuple[float, float]] = []
@@ -310,11 +343,11 @@ def optimize_working_fidelity(length: int, noise: NoiseParams, protocol: str,
         config = ProtocolConfig(n_segments=n_segments, length=length, scheme=scheme,
                                 f_init=f_work, f_work=f_work, noise=noise)
         try:
-            report = simulate(config, protocol)  # simulate rejects an unknown protocol
+            parallel = _run_levels(config, protocol)[2]  # rejects an unknown protocol
         except InfeasibleError:
             infeasible.append(float(f_work))
             continue
-        curve.append((float(f_work), report.parallel_resources ** (1.0 / n_levels)))
+        curve.append((float(f_work), parallel ** (1.0 / n_levels)))
     if not curve:
         if not infeasible:
             raise ValidationError("the working-fidelity grid f_grid is empty")

@@ -95,12 +95,10 @@ def connect_coeffs(ab: Sequence[float], bc: Sequence[float],
     the result equals ``connect_L(F, 2, noise)`` exactly, but the output is
     in general not Werner, and no depolarization is applied here.
     """
-    eta = noise.eta
-    kernel = (eta * eta, eta * (1.0 - eta), eta * (1.0 - eta), (1.0 - eta) ** 2)
-    ideal_weight = noise.p1 * noise.p2
-    mixed = (1.0 - ideal_weight) / 4.0
-    conv = _convolve(_convolve(ab, bc), kernel)
-    return tuple(ideal_weight * c + mixed for c in conv)
+    kernel, ideal_weight, mixed = noise.connect_constants
+    c0, c1, c2, c3 = _convolve(_convolve(ab, bc), kernel)
+    return (ideal_weight * c0 + mixed, ideal_weight * c1 + mixed,
+            ideal_weight * c2 + mixed, ideal_weight * c3 + mixed)
 
 
 def chain_coeffs(pairs: Sequence[Sequence[float]], noise: NoiseParams) -> tuple[float, ...]:
@@ -139,12 +137,7 @@ def purify_coeffs(kept: Sequence[float], meas: Sequence[float],
     else:
         raise ValidationError(f"unknown purification protocol {protocol!r}")
 
-    eta = noise.eta
-    alpha = eta * eta + (1.0 - eta) ** 2
-    beta = 2.0 * eta * (1.0 - eta)
-    gates_ok = noise.p2 ** 2
-    floor = (1.0 - gates_ok) / 8.0
-
+    alpha, beta, gates_ok, floor = noise.purify_constants
     u_a = gates_ok * (a * (alpha * a2 + beta * c2) + b * (alpha * b2 + beta * d2)) + floor
     u_b = gates_ok * (alpha * (a * b2 + b * a2) + beta * (a * d2 + b * c2)) + floor
     u_c = gates_ok * (c * (alpha * c2 + beta * a2) + d * (alpha * d2 + beta * b2)) + floor

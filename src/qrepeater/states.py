@@ -24,6 +24,7 @@ act on these states; the closed forms and the oracle share it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ValidationError
 
@@ -132,6 +133,27 @@ class NoiseParams:
             raise ValidationError(f"p2 must lie in [0, 1], got {self.p2!r}")
         if not 0.5 <= self.eta <= 1.0:
             raise ValidationError(f"eta must lie in [0.5, 1], got {self.eta!r}")
+
+    # Constants of the maps' kernels, derived once per instance.  A cached
+    # property is stored in the instance dict, not as a field, so equality,
+    # hashing, repr and asdict see only p1, p2 and eta.
+
+    @cached_property
+    def purify_constants(self) -> tuple[float, float, float, float]:
+        """``(alpha, beta, gates_ok, floor)`` of :func:`qrepeater.maps.purify_coeffs`."""
+        eta = self.eta
+        alpha = eta * eta + (1.0 - eta) ** 2
+        beta = 2.0 * eta * (1.0 - eta)
+        gates_ok = self.p2 ** 2
+        return alpha, beta, gates_ok, (1.0 - gates_ok) / 8.0
+
+    @cached_property
+    def connect_constants(self) -> tuple[tuple[float, ...], float, float]:
+        """``(kernel, ideal_weight, mixed)`` of :func:`qrepeater.maps.connect_coeffs`."""
+        eta = self.eta
+        kernel = (eta * eta, eta * (1.0 - eta), eta * (1.0 - eta), (1.0 - eta) ** 2)
+        ideal_weight = self.p1 * self.p2
+        return kernel, ideal_weight, (1.0 - ideal_weight) / 4.0
 
     @classmethod
     def uniform(cls, q: float) -> "NoiseParams":

@@ -3,13 +3,14 @@ import os
 import pathlib
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import pytest
 
 NOISE = ("--p1", "0.995", "--p2", "0.995", "--eta", "0.995")
 
 import qrepeater
+from qrepeater import cli
 from qrepeater.cli import build_parser, entry, main
 from qrepeater.engine import TimingModel
 from qrepeater.states import NoiseParams
@@ -350,6 +351,21 @@ class TestRepeaterCommand:
                                      | {key: 1.0 for key in keys - {"scheme", "N", "L"}}))
         code, _, err = run_cli(capsys, "repeater", "--config", str(config))
         assert code == 0, err
+
+    def test_noise_constants_stay_out_of_fields_and_reports(self, capsys):
+        # the kernels' derived constants are cached properties, not fields
+        noise = NoiseParams(0.99, 0.98, 0.97)
+        before = (repr(noise), hash(noise), fields(noise), asdict(noise))
+        noise.purify_constants, noise.connect_constants
+        assert noise == NoiseParams(0.99, 0.98, 0.97)
+        assert (repr(noise), hash(noise), fields(noise), asdict(noise)) == before
+        assert before[3] == {"p1": 0.99, "p2": 0.98, "eta": 0.97}
+        assert cli._FLOAT_KEYS == ("p1", "p2", "eta", "f_init", "f_work", "tau_op",
+                                   "tau_pair", "segment_km", "signal_speed")
+        code, out, _ = run_cli(capsys, "repeater", "--scheme", "B", "--p1", "0.99",
+                               "--p2", "0.98", "--eta", "0.97", "--f-work", "0.9")
+        assert code == 0
+        assert json.loads(out)["noise"] == {"p1": 0.99, "p2": 0.98, "eta": 0.97}
 
     def test_config_accepts_integer_for_float_field(self, tmp_path, capsys):
         config = tmp_path / "run.json"

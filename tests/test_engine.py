@@ -19,6 +19,8 @@ from qrepeater.errors import AuxPurificationError, InfeasibleError, ValidationEr
 from qrepeater.states import BellDiagonalState, NoiseParams, WernerState
 
 NOISE = NoiseParams.uniform(0.995)
+#: The acceptance grid of working fidelities: 0.86 to 0.995 in steps of 0.0025.
+GRID = tuple(0.86 + 0.0025 * i for i in range(55))
 
 
 def make_config(scheme="B", n_segments=16, f_init=0.96, f_work=0.96,
@@ -45,6 +47,16 @@ class TestConfig:
         assert make_config(n_segments=3 ** 30, length=3).n_levels == 30
         with pytest.raises(ValidationError, match="not a power"):
             make_config(n_segments=2 ** 60 + 1)
+
+    @pytest.mark.parametrize("scheme", "ABC")
+    @pytest.mark.parametrize("n_segments, length, field", [
+        (8.0, 2.0, "length"), (8.0, 2, "n_segments"), (8, 2.0, "length"),
+        (True, 2, "n_segments"), (2, True, "length"),
+    ], ids=["both-float", "float-N", "float-L", "bool-N", "bool-L"])
+    def test_chain_shape_must_be_int(self, scheme, n_segments, length, field):
+        # floats used to pass, and then broke schemes B and C with a TypeError
+        with pytest.raises(ValidationError, match=f"^{field} must be an int, got "):
+            make_config(scheme=scheme, n_segments=n_segments, length=length)
 
     def test_comm_time(self):
         timing = TimingModel(segment_km=10.0, signal_speed=2e5)
@@ -249,9 +261,8 @@ def test_optimization_and_fixed_points_build_no_state_objects(monkeypatch):
     WernerState(0.9).to_bell_diagonal()
     assert built == ["WernerState", "BellDiagonalState"]  # the counters are live
     built.clear()
-    grid = tuple(0.86 + 0.0025 * i for i in range(55))
     for protocol in ("bennett", "deutsch"):
-        optimize_working_fidelity(2, NOISE, protocol, grid, n_levels=10)
+        optimize_working_fidelity(2, NOISE, protocol, GRID, n_levels=10)
     maps.fixed_points(maps.deutsch_werner_map(NOISE))
     maps.fixed_points(maps.bennett_map(NOISE))
     assert built == []
@@ -380,10 +391,51 @@ class TestOptimize:
             optimize_working_fidelity(2, NOISE, "deutsch", grid, n_levels=4)
 
     def test_average_pairs_matches_report(self):
-        m_avg = optimize_working_fidelity(2, NOISE, "deutsch", [0.95], n_levels=6).m_min
-        report = simulate(make_config(scheme="B", n_segments=64,
-                                      f_init=0.95, f_work=0.95))
-        assert m_avg == pytest.approx(report.parallel_resources ** (1 / 6))
+        # the sweep runs the level loop without building reports: every point must be
+        # the report's value exactly, and every skipped point one that simulate rejects
+        for protocol, scheme in (("bennett", "A"), ("deutsch", "B")):
+            for q in (0.995, 0.99, 0.97):
+                noise = NoiseParams.uniform(q)
+                curve, infeasible = [], []
+                for f in GRID:
+                    config = make_config(scheme=scheme, n_segments=2 ** 10, f_init=f,
+                                         f_work=f, noise=noise)
+                    try:
+                        report = simulate(config, protocol)
+                    except InfeasibleError:
+                        infeasible.append(f)
+                        continue
+                    curve.append((f, report.parallel_resources ** (1 / 10)))
+                if not curve:  # the twirl-based protocol at 3 %
+                    with pytest.raises(InfeasibleError, match="^no feasible working"):
+                        optimize_working_fidelity(2, noise, protocol, GRID, n_levels=10)
+                    continue
+                result = optimize_working_fidelity(2, noise, protocol, GRID, n_levels=10)
+                assert result.curve == tuple(curve)
+                assert result.infeasible == tuple(infeasible)
+
+    def test_totals_overflow_names_its_level_as_simulate_does(self):
+        config = make_config(n_segments=2 ** 1000, f_init=0.9, f_work=0.9)
+        with pytest.raises(ValidationError) as from_simulate:
+            simulate(config, "deutsch")
+        with pytest.raises(ValidationError) as from_sweep:
+            optimize_working_fidelity(2, NOISE, "deutsch", [0.9], n_levels=1000)
+        assert re.fullmatch(r"level \d+: elementary_pairs exceeds float range",
+                            str(from_simulate.value))
+        assert str(from_sweep.value) == str(from_simulate.value)
+
+    @pytest.mark.parametrize("n_levels, message", [
+        (True, "n_levels must be an int, got True"),
+        (1.0, "n_levels must be an int, got 1.0"),
+        (0, "n_levels must be >= 1, got 0"),
+        (-1, "n_levels must be >= 1, got -1"),
+        # rejected by logarithm, before 2 ** n_levels is formed
+        (10 ** 6, "length ** n_levels (2 ** 1000000) exceeds float range"),
+    ], ids=["bool", "float", "zero", "negative", "beyond-float-range"])
+    def test_level_count_rejected(self, n_levels, message):
+        with pytest.raises(ValidationError) as excinfo:
+            optimize_working_fidelity(2, NOISE, "deutsch", [0.95], n_levels=n_levels)
+        assert str(excinfo.value) == message
 
 
 def test_analytic_layers_load_without_numpy_or_oracle():

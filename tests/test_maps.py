@@ -399,7 +399,46 @@ def assert_valid_state(state):
     assert abs(sum(state.coeffs) - 1.0) <= 1e-12
 
 
+def _purify_inline(kept, meas, noise, protocol):
+    """``purify_coeffs`` as it was written before NoiseParams held its constants."""
+    if protocol == "bennett":
+        a, b, c, d = kept
+        a2, b2, c2, d2 = meas
+    else:
+        a, d, c, b = kept
+        a2, d2, c2, b2 = meas
+    eta = noise.eta
+    alpha = eta * eta + (1.0 - eta) ** 2
+    beta = 2.0 * eta * (1.0 - eta)
+    gates_ok = noise.p2 ** 2
+    floor = (1.0 - gates_ok) / 8.0
+    u_a = gates_ok * (a * (alpha * a2 + beta * c2) + b * (alpha * b2 + beta * d2)) + floor
+    u_b = gates_ok * (alpha * (a * b2 + b * a2) + beta * (a * d2 + b * c2)) + floor
+    u_c = gates_ok * (c * (alpha * c2 + beta * a2) + d * (alpha * d2 + beta * b2)) + floor
+    u_d = gates_ok * (alpha * (c * d2 + d * c2) + beta * (c * b2 + d * a2)) + floor
+    p_succ = u_a + u_b + u_c + u_d
+    return p_succ, (u_a / p_succ, u_b / p_succ, u_c / p_succ, u_d / p_succ)
+
+
+def _connect_inline(ab, bc, noise):
+    """``connect_coeffs`` as it was written before NoiseParams held its constants."""
+    eta = noise.eta
+    kernel = (eta * eta, eta * (1.0 - eta), eta * (1.0 - eta), (1.0 - eta) ** 2)
+    ideal_weight = noise.p1 * noise.p2
+    mixed = (1.0 - ideal_weight) / 4.0
+    conv = maps._convolve(maps._convolve(ab, bc), kernel)
+    return tuple(ideal_weight * c + mixed for c in conv)
+
+
 class TestMapProperties:
+    @given(bell_states(0.01), bell_states(0.01), noise_params,
+           st.sampled_from(["bennett", "deutsch"]))
+    def test_kernels_on_derived_constants_are_bit_identical(self, s1, s2, noise, protocol):
+        assert (maps.purify_coeffs(s1.coeffs, s2.coeffs, noise, protocol)
+                == _purify_inline(s1.coeffs, s2.coeffs, noise, protocol))
+        assert maps.connect_coeffs(s1.coeffs, s2.coeffs, noise) == _connect_inline(
+            s1.coeffs, s2.coeffs, noise)
+
     @given(bell_states(), bell_states(), noise_params)
     def test_connect_states_returns_valid_state(self, s1, s2, noise):
         assert_valid_state(maps.connect_states(s1, s2, noise))
