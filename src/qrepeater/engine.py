@@ -44,7 +44,7 @@ from .errors import (
     WorkingFidelityUnreachableError,
 )
 from .maps import PROTOCOLS, chain_coeffs, connect_L, purify_coeffs
-from .states import NoiseParams, checked_coeffs, werner_coeffs
+from .states import NoiseParams, checked_coeffs, require_real, werner_coeffs
 
 #: Least fidelity gain a purification step must make; a smaller one is a stall.
 _GAIN_EPS = 1e-13
@@ -76,6 +76,7 @@ class TimingModel:
     def __post_init__(self):
         for name in ("tau_op", "tau_pair", "segment_km", "signal_speed"):
             value = getattr(self, name)
+            require_real(name, value)
             if not 0 < value < math.inf:
                 raise ValidationError(
                     f"timing field {name} must be positive and finite, got {value!r}"
@@ -120,6 +121,7 @@ class ProtocolConfig:
         # f_init defaults to f_work in the CLI, so a bad f_work is named first
         for name in ("f_work", "f_init"):
             value = getattr(self, name)
+            require_real(name, value)
             if not 0.25 <= value <= 1.0:
                 raise ValidationError(f"{name} must lie in [0.25, 1], got {value!r}")
 

@@ -1,19 +1,43 @@
 """Exact density-matrix simulation of noisy connection and purification circuits.
 
 The state is a dense complex density matrix over at most four qubits
-(16 x 16), which leaves no room for approximation error.  No operation
-builds a full-register operator: a gate is two matrix products on its
-target qubits' axes of the reshaped state, gate noise traces the targets
-out and puts them back maximally mixed, and a readout keeps the block whose
-row and column bits of the read qubit both equal the reading.  The module
-provides these imperfect-operation primitives (depolarizing-style gate
-noise and an imperfect projective readout) and builds the two circuits the
-analytic layer models in closed form:
+(16 x 16), which leaves no room for approximation error.  The module
+provides imperfect-operation primitives (depolarizing-style gate noise and
+an imperfect projective readout) and builds the two circuits the analytic
+layer models in closed form:
 
 * ``oracle_connect``  -- Bell measurement at a middle node joining two pairs,
 * ``oracle_purify``   -- two-pair purification (``bennett`` or ``deutsch``
   variant) with post-selection on coinciding apparatus readings.
 
+Each circuit runs gate by gate, in few and small dense steps:
+
+* No gate builds a full-register operator.  A gate is two matrix products
+  on its target qubits' axes of the reshaped state, and gate noise traces
+  the targets out and puts them back maximally mixed.  The axis
+  permutation, its inverse, the shapes and the noise's I/K for each
+  register size and target tuple form a plan, checked and built once and
+  kept in a bounded cache.  This is exact: a plan depends on its key
+  alone, and an invalid key raises before it is cached, so every check
+  still runs on every call.
+* A readout multiplies the state elementwise by 0/1 masks (cached the same
+  way) that keep the block whose row and column bits of the read qubit
+  both equal the outcome, weighted eta for the reading and 1 - eta for
+  the other outcome.  The circuits sum these unnormalized branches, whose
+  traces are their probabilities; ``noisy_measure`` is the same readout
+  renormalized.  This is exact: a normalized branch times its
+  probability is the unnormalized branch.
+* The rotation-based step's perfect pi/2 rotations act as one two-qubit
+  gate on each 4 x 4 pair matrix before the product.  This is exact: the
+  rotations carry no noise (p1 stays out of purification) and each acts
+  within its own pair, so it commutes with taking the product.
+* Connection traces out the middle node in each reading branch before the
+  noisy correction, which then acts on a 4 x 4.  This is exact: the
+  correction channel acts on qubit 3 alone, and a channel on one qubit
+  commutes with tracing out others.
+
+``tests/test_oracle.py`` holds the kron-built primitives and both circuits
+in the literal gate order as the dense reference they must match to 1e-13.
 The closed-form maps in :mod:`qrepeater.maps` are required to agree with
 these routines to 1e-12; ``closed_form_deviations`` measures that on the
 grid behind ``qrepeater oracle-check`` and acceptance criterion 1.  This is
@@ -21,6 +45,9 @@ the only module that needs numpy, and only the ``oracle-check`` subcommand
 imports it.
 """
 from __future__ import annotations
+
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +72,10 @@ CNOT = np.array(
 # pi/2 rotations about X, opposite handedness for the two ends of a pair.
 ROT_X_POS = (I2 - 1j * X) / np.sqrt(2.0)
 ROT_X_NEG = (I2 + 1j * X) / np.sqrt(2.0)
+#: The rotation-based step's rotations on one pair, node A's qubit first.
+_PAIR_ROTATION = np.kron(ROT_X_POS, ROT_X_NEG)
+#: Connection's Pauli correction on qubit 3, indexed by the readings of qubits 1 and 2.
+_CORRECTIONS = ((I2, X), (Z, Z @ X))
 
 _BRANCH_EPS = 1e-15
 
@@ -65,29 +96,42 @@ def _check_targets(targets: tuple[int, ...], n_qubits: int) -> None:
             raise ValidationError(f"qubit index {t} out of range for {n_qubits} qubits")
 
 
-def _to_frame(rho: np.ndarray, targets: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
-    """``rho`` with the ``targets`` axes moved outermost, and the permutation used.
+#: Bound of each cache: the two circuits use eight plans and three masks, the tests more.
+_CACHE_SIZE = 64
+
+
+class _Plan(NamedTuple):
+    """How to view an ``n``-qubit density matrix with some target qubits outermost.
 
     The frame has shape (K, R, R, K): the row index of the targets, in the
     order given, then the other qubits' row and column indices in register
     order, then the column index of the targets.  A gate on the targets is
     then a plain matrix product on either side.
     """
-    n = _num_qubits(rho)
-    targets = tuple(targets)
-    _check_targets(targets, n)
-    rest = tuple(q for q in range(n) if q not in targets)
-    axes = targets + rest + tuple(n + q for q in rest + targets)
+
+    tensor: tuple[int, ...]  # (2,) * 2n: one axis per row bit, then one per column bit
+    axes: tuple[int, ...]  # tensor axes in frame order
+    back: tuple[int, ...]  # the inverse permutation, frame order back to register order
+    frame: tuple[int, int, int, int]
+    mixed: np.ndarray  # I/K as a read-only (K, 1, 1, K) frame: the state gate noise leaves
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _plan(n_qubits: int, targets: tuple[int, ...]) -> _Plan:
+    """The checked frame of ``targets`` on an ``n_qubits`` register, built once per key.
+
+    An invalid key raises before anything is cached, so every call with it
+    raises again.
+    """
+    _check_targets(targets, n_qubits)
+    rest = tuple(q for q in range(n_qubits) if q not in targets)
+    axes = targets + rest + tuple(n_qubits + q for q in rest + targets)
     k = 2 ** len(targets)
-    frame = rho.reshape((2,) * (2 * n)).transpose(axes)
-    return frame.reshape(k, rho.shape[0] // k, rho.shape[0] // k, k), axes
-
-
-def _from_frame(frame: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Inverse of :func:`_to_frame`: the frame back as a register-order matrix."""
-    back = sorted(range(len(axes)), key=axes.__getitem__)
-    dim = frame.shape[0] * frame.shape[1]
-    return frame.reshape((2,) * len(axes)).transpose(back).reshape(dim, dim)
+    r = 2 ** n_qubits // k
+    back = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+    mixed = (np.eye(k) / k)[:, None, None, :]
+    mixed.setflags(write=False)
+    return _Plan((2,) * (2 * n_qubits), axes, back, (k, r, r, k), mixed)
 
 
 def apply_noisy_gate(rho: np.ndarray, gate: np.ndarray, targets: tuple[int, ...],
@@ -97,22 +141,49 @@ def apply_noisy_gate(rho: np.ndarray, gate: np.ndarray, targets: tuple[int, ...]
     The gate acts on the targets' own axes only; the noise traces the
     targets out and puts them back maximally mixed, I/2 on each.
     """
-    frame, axes = _to_frame(rho, targets)
-    k = frame.shape[0]
+    plan = _plan(_num_qubits(rho), tuple(targets))
+    k = plan.frame[0]
     if gate.shape != (k, k):
         raise ValidationError(f"gate of shape {gate.shape} does not act on {len(targets)} qubits")
-    ideal = ((gate @ frame.reshape(k, -1)).reshape(-1, k) @ gate.conj().T).reshape(frame.shape)
+    frame = rho.reshape(plan.tensor).transpose(plan.axes).reshape(k, -1)
+    ideal = ((gate @ frame).reshape(-1, k) @ gate.conj().T).reshape(plan.frame)
     if p != 1.0:
-        reduced = ideal.trace(axis1=0, axis2=3) / k
-        mixed = np.eye(k)[:, None, None, :] * reduced[None, :, :, None]
-        ideal = p * ideal + (1.0 - p) * mixed
-    return _from_frame(ideal, axes)
+        reduced = ideal.trace(axis1=0, axis2=3)
+        ideal = p * ideal + (1.0 - p) * (plan.mixed * reduced[:, :, None])
+    return ideal.reshape(plan.tensor).transpose(plan.back).reshape(rho.shape)
 
 
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     """Trace out every qubit not listed in ``keep`` (result in ``keep`` order)."""
-    frame, _ = _to_frame(rho, keep)
+    plan = _plan(_num_qubits(rho), tuple(keep))
+    frame = rho.reshape(plan.tensor).transpose(plan.axes).reshape(plan.frame)
     return frame.trace(axis1=1, axis2=2)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _readout_masks(n_qubits: int, target: int) -> np.ndarray:
+    """Read-only (2, D, D) 0/1 masks: entry b keeps the block whose row and
+    column bits of ``target`` both equal b, which is projecting on outcome b."""
+    _check_targets((target,), n_qubits)
+    bit = (np.arange(2 ** n_qubits) >> (n_qubits - 1 - target)) & 1
+    masks = np.array([np.outer(bit == b, bit == b) for b in (0, 1)], dtype=float)
+    masks.setflags(write=False)
+    return masks
+
+
+def _readout(rho: np.ndarray, target: int, eta: float):
+    """Unnormalized readout branches ``(reading, probability, branch)`` of one qubit.
+
+    A branch is the projection on the reading with weight eta plus the
+    projection on the other outcome with weight 1 - eta; its trace is the
+    probability of the reading.  Readings come in the order 0, 1, and
+    branches of essentially zero probability are omitted.
+    """
+    masks = _readout_masks(_num_qubits(rho), target)
+    branches = rho * (eta * masks + (1.0 - eta) * masks[::-1])
+    probs = branches.trace(axis1=1, axis2=2).real
+    return [(reading, float(probs[reading]), branches[reading])
+            for reading in (0, 1) if probs[reading] >= _BRANCH_EPS]
 
 
 def noisy_measure(rho: np.ndarray, target: int, eta: float):
@@ -123,23 +194,7 @@ def noisy_measure(rho: np.ndarray, target: int, eta: float):
     post_state)`` with the post-measurement states renormalized; branches of
     essentially zero probability are omitted.
     """
-    n = _num_qubits(rho)
-    _check_targets((target,), n)
-    before, after = 2 ** target, 2 ** (n - target - 1)
-    # axes: (higher qubits, target, lower qubits) for rows, then the same for columns
-    view = rho.reshape(before, 2, after, before, 2, after)
-    branches = []
-    for reading in (0, 1):
-        # projecting on outcome b keeps the block whose row and column bits are both b
-        weights = np.zeros((2, 1, 1, 2, 1))
-        weights[reading, 0, 0, reading] = eta
-        weights[1 - reading, 0, 0, 1 - reading] = 1.0 - eta
-        post = (view * weights).reshape(rho.shape)
-        prob = float(post.trace().real)
-        if prob < _BRANCH_EPS:
-            continue
-        branches.append((reading, prob, post / prob))
-    return branches
+    return [(reading, prob, branch / prob) for reading, prob, branch in _readout(rho, target, eta)]
 
 
 #: The four Bell kets as columns, in the package-wide ordering.
@@ -180,9 +235,8 @@ def bell_coefficients(rho: np.ndarray) -> np.ndarray:
     return in_bell.diagonal().real.copy()
 
 
-def _pair_product(pair_ab: BellDiagonalState, pair_cd: BellDiagonalState) -> np.ndarray:
-    """Four-qubit product state: first pair on qubits (0, 1), second on (2, 3)."""
-    first, second = bell_diagonal_to_dm(pair_ab), bell_diagonal_to_dm(pair_cd)
+def _pair_product(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Four-qubit product of pair matrices: ``first`` on qubits (0, 1), ``second`` on (2, 3)."""
     return (first[:, None, :, None] * second[None, :, None, :]).reshape(16, 16)
 
 
@@ -192,26 +246,26 @@ def oracle_connect(pair_ab: BellDiagonalState, pair_bc: BellDiagonalState,
 
     Qubits 1 and 2 sit at the middle node.  The Bell measurement is a noisy
     CNOT (1 -> 2) followed by a basis change on the control and two noisy
-    readouts; the reading-conditioned Pauli correction on qubit 3 is applied
-    as a noisy one-qubit operation, and the four branches are averaged with
-    their probabilities.  By default the resulting pair is depolarized to
-    Werner form; with ``twirl_output=False`` the raw Bell-diagonal
-    coefficients of the joined pair are returned instead.
+    readouts.  In each reading branch the middle node is traced out, and the
+    reading-conditioned Pauli correction acts on the remaining pair's qubit
+    3 as a noisy one-qubit operation; the unnormalized branches, whose
+    traces are their probabilities, are summed.  By default the resulting
+    pair is depolarized to Werner form; with ``twirl_output=False`` the raw
+    Bell-diagonal coefficients of the joined pair are returned instead.
     """
-    rho = _pair_product(pair_ab, pair_bc)
+    rho = _pair_product(bell_diagonal_to_dm(pair_ab), bell_diagonal_to_dm(pair_bc))
     rho = apply_noisy_gate(rho, CNOT, (1, 2), noise.p2)
     # the basis change is part of the measurement decomposition, not a noisy gate
     rho = apply_noisy_gate(rho, HADAMARD, (1,), 1.0)
 
-    averaged = np.zeros_like(rho)
-    for m1, prob1, rho1 in noisy_measure(rho, 1, noise.eta):
-        for m2, prob2, rho2 in noisy_measure(rho1, 2, noise.eta):
-            correction = (Z if m1 else I2) @ (X if m2 else I2)
-            corrected = apply_noisy_gate(rho2, correction, (3,), noise.p1)
-            averaged += prob1 * prob2 * corrected
+    joined = np.zeros((4, 4), dtype=complex)
+    for m1, _, rho1 in _readout(rho, 1, noise.eta):
+        for m2, _, rho2 in _readout(rho1, 2, noise.eta):
+            # the correction acts on qubit 3 alone, so it commutes with tracing out 1 and 2
+            outer = partial_trace(rho2, (0, 3))
+            joined += apply_noisy_gate(outer, _CORRECTIONS[m1][m2], (1,), noise.p1)
 
-    reduced = partial_trace(averaged, (0, 3))
-    coeffs = bell_coefficients(reduced)
+    coeffs = bell_coefficients(joined)
     if twirl_output:
         fid = float(coeffs[0])
         off = (1.0 - fid) / 3.0
@@ -228,35 +282,33 @@ def oracle_purify(kept: BellDiagonalState, sacrificed: BellDiagonalState,
     apply a bilateral noisy CNOT (kept controls sacrificed), read out the
     sacrificed pair with imperfect detectors and keep the coinciding-reading
     branches.  The ``deutsch`` variant first applies perfect pi/2 rotations
-    of opposite sign on the two nodes: the model leaves the one-qubit gate
-    noise p1 out of purification.
+    of opposite sign on the two nodes, as one two-qubit gate on each pair
+    before the product: the model leaves the one-qubit gate noise p1 out of
+    purification, and each rotation acts within its own pair.
     """
     if protocol not in maps.PROTOCOLS:
         raise ValidationError(f"unknown purification protocol {protocol!r}")
-    rho = _pair_product(kept, sacrificed)
-
+    first, second = bell_diagonal_to_dm(kept), bell_diagonal_to_dm(sacrificed)
     if protocol == "deutsch":
-        rotations = ((0, ROT_X_POS), (2, ROT_X_POS), (1, ROT_X_NEG), (3, ROT_X_NEG))
-        for qubit, gate in rotations:
-            rho = apply_noisy_gate(rho, gate, (qubit,), 1.0)
+        first = apply_noisy_gate(first, _PAIR_ROTATION, (0, 1), 1.0)
+        second = apply_noisy_gate(second, _PAIR_ROTATION, (0, 1), 1.0)
+    rho = _pair_product(first, second)
 
     rho = apply_noisy_gate(rho, CNOT, (0, 2), noise.p2)
     rho = apply_noisy_gate(rho, CNOT, (1, 3), noise.p2)
 
     kept_sum = np.zeros_like(rho)
     p_succ = 0.0
-    for m2, prob2, rho2 in noisy_measure(rho, 2, noise.eta):
-        for m3, prob3, rho3 in noisy_measure(rho2, 3, noise.eta):
-            if m2 != m3:
-                continue
-            p_succ += prob2 * prob3
-            kept_sum += prob2 * prob3 * rho3
+    for m2, _, rho2 in _readout(rho, 2, noise.eta):
+        for m3, prob, rho3 in _readout(rho2, 3, noise.eta):
+            if m2 == m3:
+                p_succ += prob
+                kept_sum += rho3
     if p_succ < _BRANCH_EPS:
         raise DegeneratePostSelectionError(
             "post-selection kept no probability mass; degenerate parameter regime"
         )
-    reduced = partial_trace(kept_sum / p_succ, (0, 1))
-    coeffs = bell_coefficients(reduced)
+    coeffs = bell_coefficients(partial_trace(kept_sum, (0, 1)) / p_succ)
     return p_succ, BellDiagonalState(tuple(coeffs))
 
 

@@ -63,6 +63,17 @@ def checked_coeffs(coeffs) -> tuple[float, float, float, float]:
     return tuple(x / total for x in raw) if clamped else raw
 
 
+def require_real(name: str, value) -> None:
+    """Reject a float field's ``value`` unless it is an int or a float.
+
+    A bool is an int subclass and compares as 0 or 1, and a string or a
+    complex number would die in the range check with a bare ``TypeError``;
+    each is rejected here with a ``ValidationError`` naming the field.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+
+
 def werner_coeffs(fidelity: float) -> tuple[float, float, float, float]:
     """Checked Bell coefficients of the Werner state of ``fidelity`` (in [1/4, 1]).
 
@@ -127,6 +138,8 @@ class NoiseParams:
     eta: float = 1.0
 
     def __post_init__(self):
+        for name in ("p1", "p2", "eta"):
+            require_real(name, getattr(self, name))
         if not 0.0 <= self.p1 <= 1.0:
             raise ValidationError(f"p1 must lie in [0, 1], got {self.p1!r}")
         if not 0.0 <= self.p2 <= 1.0:

@@ -29,6 +29,14 @@ def make_config(scheme="B", n_segments=16, f_init=0.96, f_work=0.96,
                           f_init=f_init, f_work=f_work, noise=noise)
 
 
+#: Every float field of the library's inputs, with a constructor taking it by name.
+FLOAT_FIELDS = {
+    **dict.fromkeys(("p1", "p2", "eta"), NoiseParams),
+    **dict.fromkeys(("f_init", "f_work"), make_config),
+    **dict.fromkeys(("tau_op", "tau_pair", "segment_km", "signal_speed"), TimingModel),
+}
+
+
 class TestConfig:
     def test_segment_count_must_be_power_of_length(self):
         with pytest.raises(ValidationError):
@@ -57,6 +65,31 @@ class TestConfig:
         # floats used to pass, and then broke schemes B and C with a TypeError
         with pytest.raises(ValidationError, match=f"^{field} must be an int, got "):
             make_config(scheme=scheme, n_segments=n_segments, length=length)
+
+    @pytest.mark.parametrize("bad", [True, False, "0.9", 0.9 + 0j, None],
+                             ids=["true", "false", "str", "complex", "none"])
+    @pytest.mark.parametrize("field", list(FLOAT_FIELDS))
+    def test_float_fields_reject_bools_and_non_reals(self, field, bad):
+        with pytest.raises(ValidationError, match=f"^{field} must be a real number, got "):
+            FLOAT_FIELDS[field](**{field: bad})
+
+    def test_bool_fields_do_not_reach_a_run(self):
+        # a bool compares as 0 or 1, so without the type check this runs and reports f_work=True
+        with pytest.raises(ValidationError, match="^p1 must be a real number, got True$"):
+            simulate(ProtocolConfig(4, 2, "B", True, True, NoiseParams(True, True, True)))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("p1", 1.2, "p1 must lie in [0, 1], got 1.2"),
+        ("p2", -1, "p2 must lie in [0, 1], got -1"),
+        ("eta", math.nan, "eta must lie in [0.5, 1], got nan"),
+        ("f_work", 0.2, "f_work must lie in [0.25, 1], got 0.2"),
+        ("f_init", 2, "f_init must lie in [0.25, 1], got 2"),
+        ("tau_op", math.inf, "timing field tau_op must be positive and finite, got inf"),
+    ], ids=["p1", "p2", "eta", "f_work", "f_init", "tau_op"])
+    def test_real_values_out_of_range_keep_their_messages(self, field, value, message):
+        with pytest.raises(ValidationError) as excinfo:
+            FLOAT_FIELDS[field](**{field: value})
+        assert str(excinfo.value) == message
 
     def test_comm_time(self):
         timing = TimingModel(segment_km=10.0, signal_speed=2e5)

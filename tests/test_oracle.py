@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qrepeater import oracle as orc
 from qrepeater.errors import NumericError, ValidationError
@@ -393,3 +393,102 @@ class TestBellDiagonalCheck:
         assert np.linalg.eigvalsh(rho).min() >= -1e-12  # still a state
         with pytest.raises(NumericError, match="not Bell-diagonal"):
             orc.bell_coefficients(rho)
+
+
+# Dense reference circuits: both circuits spelled out gate by gate with the
+# kron-built primitives above, in the literal gate order (four one-qubit
+# rotations, the correction on the full register before the trace).  The
+# oracle rotates each pair before the product and traces out the middle node
+# before the correction; both are exact, so the two must agree.
+
+reliabilities = st.one_of(st.just(1.0), st.floats(0.0, 1.0))
+readout_qualities = st.one_of(st.just(1.0), st.just(0.5), st.floats(0.5, 1.0))
+noises = st.builds(NoiseParams, reliabilities, reliabilities, readout_qualities)
+SKEWED = np.array([0.55, 0.2, 0.15, 0.1])
+
+
+def bell_diagonal(rho):
+    return np.real(np.diag(orc._BELL.conj().T @ rho @ orc._BELL))
+
+
+def dense_connect(pair_ab, pair_bc, noise):
+    rho = np.kron(pair_ab, pair_bc)
+    rho = dense_noisy_gate(rho, orc.CNOT, (1, 2), noise.p2)
+    rho = dense_noisy_gate(rho, orc.HADAMARD, (1,), 1.0)
+    averaged = np.zeros_like(rho)
+    for m1, prob1, rho1 in dense_noisy_measure(rho, 1, noise.eta):
+        for m2, prob2, rho2 in dense_noisy_measure(rho1, 2, noise.eta):
+            correction = (orc.Z if m1 else orc.I2) @ (orc.X if m2 else orc.I2)
+            averaged += prob1 * prob2 * dense_noisy_gate(rho2, correction, (3,), noise.p1)
+    return dense_partial_trace(averaged, (0, 3))
+
+
+def dense_purify(kept, sacrificed, noise, protocol):
+    rho = np.kron(kept, sacrificed)
+    if protocol == "deutsch":
+        for qubit, gate in ((0, orc.ROT_X_POS), (2, orc.ROT_X_POS),
+                            (1, orc.ROT_X_NEG), (3, orc.ROT_X_NEG)):
+            rho = dense_noisy_gate(rho, gate, (qubit,), 1.0)
+    rho = dense_noisy_gate(rho, orc.CNOT, (0, 2), noise.p2)
+    rho = dense_noisy_gate(rho, orc.CNOT, (1, 3), noise.p2)
+    kept_sum, p_succ = np.zeros_like(rho), 0.0
+    for m2, prob2, rho2 in dense_noisy_measure(rho, 2, noise.eta):
+        for m3, prob3, rho3 in dense_noisy_measure(rho2, 3, noise.eta):
+            if m2 == m3:
+                p_succ += prob2 * prob3
+                kept_sum += prob2 * prob3 * rho3
+    return p_succ, dense_partial_trace(kept_sum / p_succ, (0, 1))
+
+
+class TestCircuitsAgainstDenseReference:
+    @given(first=bell_weights, second=bell_weights, noise=noises)
+    @example(first=SKEWED, second=SKEWED[::-1], noise=PERFECT)
+    @example(first=SKEWED, second=SKEWED[::-1], noise=NoiseParams(0.9, 0.8, 0.5))
+    def test_connect(self, first, second, noise):
+        pair_1, pair_2 = BellDiagonalState(tuple(first)), BellDiagonalState(tuple(second))
+        got = orc.oracle_connect(pair_1, pair_2, noise, twirl_output=False)
+        want = bell_diagonal(dense_connect(orc.bell_diagonal_to_dm(pair_1),
+                                           orc.bell_diagonal_to_dm(pair_2), noise))
+        assert np.abs(np.array(got.coeffs) - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("protocol", ["bennett", "deutsch"])
+    @given(first=bell_weights, second=bell_weights, noise=noises)
+    @example(first=SKEWED, second=SKEWED[::-1], noise=PERFECT)
+    @example(first=SKEWED, second=SKEWED[::-1], noise=NoiseParams(1.0, 0.8, 0.5))
+    def test_purify(self, protocol, first, second, noise):
+        kept, sacrificed = BellDiagonalState(tuple(first)), BellDiagonalState(tuple(second))
+        p_succ, out = orc.oracle_purify(kept, sacrificed, noise, protocol)
+        want_p, want = dense_purify(orc.bell_diagonal_to_dm(kept),
+                                    orc.bell_diagonal_to_dm(sacrificed), noise, protocol)
+        assert abs(p_succ - want_p) <= 1e-13
+        assert np.abs(np.array(out.coeffs) - bell_diagonal(want)).max() <= 1e-13
+
+
+class TestCachedPlans:
+    def test_a_cached_plan_keeps_every_check(self):
+        rho = random_density_matrix(np.random.default_rng(12), 3)
+        # cache a valid plan and readout masks on this register first
+        orc.apply_noisy_gate(rho, orc.CNOT, (0, 2), 0.9)
+        orc.partial_trace(rho, (0, 2))
+        orc.noisy_measure(rho, 2, 0.9)
+        calls = {
+            "gate": lambda targets: orc.apply_noisy_gate(rho, orc.CNOT, targets, 0.9),
+            "trace": lambda targets: orc.partial_trace(rho, targets),
+        }
+        for call in calls.values():
+            with pytest.raises(ValidationError, match="duplicate target qubits"):
+                call((2, 2))
+            with pytest.raises(ValidationError, match="qubit index 3 out of range for 3 qubits"):
+                call((0, 3))
+        with pytest.raises(ValidationError, match="qubit index 3 out of range for 3 qubits"):
+            orc.noisy_measure(rho, 3, 0.9)
+        with pytest.raises(ValidationError, match="qubit index -1 out of range"):
+            orc.noisy_measure(rho, -1, 0.9)
+        with pytest.raises(ValidationError, match="does not act on 2 qubits"):
+            orc.apply_noisy_gate(rho, orc.X, (0, 2), 0.9)
+        with pytest.raises(ValidationError, match="does not act on 1 qubits"):
+            orc.apply_noisy_gate(rho, orc.CNOT, (2,), 0.9)
+
+    def test_caches_are_bounded(self):
+        assert orc._plan.cache_info().maxsize is not None
+        assert orc._readout_masks.cache_info().maxsize is not None
