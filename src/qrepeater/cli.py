@@ -20,7 +20,7 @@ from dataclasses import asdict, fields
 from . import maps
 from .engine import ProtocolConfig, TimingModel, optimize_working_fidelity, simulate
 from .errors import InfeasibleError, NumericError, ValidationError
-from .states import NoiseParams
+from .states import NoiseParams, require_in, require_int
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -134,8 +134,7 @@ def cmd_sweep_m(args) -> int:
     if not noise_values:
         raise ValidationError(f"--noise-list holds no values, got {args.noise_list!r}")
     for q in noise_values:
-        if not 0.5 <= q <= 1.0:
-            raise ValidationError(f"--noise-list values must lie in [0.5, 1], got {q!r}")
+        require_in("--noise-list values", q, 0.5, 1)
     grid = _parse_grid(args.grid)
     if not 1 <= args.levels <= _MAX_LEVELS:
         raise ValidationError(f"--levels must lie in [1, {_MAX_LEVELS}], got {args.levels}")
@@ -179,31 +178,24 @@ def _config_from_args(args) -> ProtocolConfig:
         if not isinstance(file_values, dict):
             raise ValidationError(f"config file {args.config} must hold a JSON object")
 
-    def pick(key, fallback, kind):
+    # a flag wins over the file, the file over the default; the dataclasses check the
+    # values, and N and L are checked here so that the error names the key the user wrote
+    def pick(key, fallback):
         value = getattr(args, key)
-        if value is None:
-            value = file_values.get(key, fallback)
-        # bool is an int subclass, and float() or int() would coerce it silently
-        allowed = (int, float) if kind is float else kind
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise ValidationError(f"config field {key} must be {kind.__name__}, got {value!r}")
-        try:
-            return kind(value)
-        except OverflowError:  # an int beyond float range
-            raise ValidationError(f"config field {key} exceeds float range") from None
+        return file_values.get(key, fallback) if value is None else value
 
     unknown = set(file_values) - {"scheme", "N", "L", *_FLOAT_KEYS}
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
 
-    noise = NoiseParams(**{f.name: pick(f.name, f.default, float) for f in fields(NoiseParams)})
-    timing = TimingModel(**{f.name: pick(f.name, f.default, float) for f in fields(TimingModel)})
-    f_work = pick("f_work", 0.96, float)
+    noise = NoiseParams(**{f.name: pick(f.name, f.default) for f in fields(NoiseParams)})
+    timing = TimingModel(**{f.name: pick(f.name, f.default) for f in fields(TimingModel)})
+    f_work = pick("f_work", 0.96)
     return ProtocolConfig(
-        n_segments=pick("N", 16, int),
-        length=pick("L", 2, int),
-        scheme=pick("scheme", "B", str),
-        f_init=pick("f_init", f_work, float),
+        n_segments=require_int("N", pick("N", 16)),
+        length=require_int("L", pick("L", 2)),
+        scheme=pick("scheme", "B"),
+        f_init=pick("f_init", f_work),
         f_work=f_work,
         noise=noise,
         timing=timing,

@@ -44,18 +44,13 @@ from .errors import (
     WorkingFidelityUnreachableError,
 )
 from .maps import PROTOCOLS, chain_coeffs, connect_L, purify_coeffs
-from .states import NoiseParams, checked_coeffs, require_real, werner_coeffs
+from .states import (NoiseParams, checked_coeffs, require_in, require_int, require_real,
+                     werner_coeffs)
 
 #: Least fidelity gain a purification step must make; a smaller one is a stall.
 _GAIN_EPS = 1e-13
 _MAX_STEPS = 10_000
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
-def _require_int(name: str, value) -> None:
-    # bool is an int subclass, and would pass as 0 or 1
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -76,11 +71,12 @@ class TimingModel:
     def __post_init__(self):
         for name in ("tau_op", "tau_pair", "segment_km", "signal_speed"):
             value = getattr(self, name)
-            require_real(name, value)
-            if not 0 < value < math.inf:
+            x = require_real(name, value)
+            if not 0 < x < math.inf:
                 raise ValidationError(
                     f"timing field {name} must be positive and finite, got {value!r}"
                 )
+            object.__setattr__(self, name, x)
 
     def comm_time(self, span_segments: int) -> float:
         """One-way classical signalling time across ``span_segments`` segments."""
@@ -102,8 +98,8 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.scheme not in ("A", "B", "C"):
             raise ValidationError(f"scheme must be one of A, B, C, got {self.scheme!r}")
-        _require_int("length", self.length)
-        _require_int("n_segments", self.n_segments)
+        require_int("length", self.length)
+        require_int("n_segments", self.n_segments)
         if self.length < 2:
             raise ValidationError(f"branching factor must be >= 2, got {self.length}")
         if self.n_segments < self.length:
@@ -120,10 +116,7 @@ class ProtocolConfig:
             )
         # f_init defaults to f_work in the CLI, so a bad f_work is named first
         for name in ("f_work", "f_init"):
-            value = getattr(self, name)
-            require_real(name, value)
-            if not 0.25 <= value <= 1.0:
-                raise ValidationError(f"{name} must lie in [0.25, 1], got {value!r}")
+            object.__setattr__(self, name, require_in(name, getattr(self, name), 0.25, 1))
 
     @cached_property
     def n_levels(self) -> int:
@@ -327,8 +320,8 @@ def optimize_working_fidelity(length: int, noise: NoiseParams, protocol: str,
     :class:`ProtocolConfig` run through the level loop of :func:`simulate`,
     without building its per-level records or report.
     """
-    _require_int("length", length)
-    _require_int("n_levels", n_levels)
+    require_int("length", length)
+    require_int("n_levels", n_levels)
     if n_levels < 1:
         raise ValidationError(f"n_levels must be >= 1, got {n_levels}")
     # by logarithm, so that a huge n_levels builds no huge power before the check;
@@ -347,9 +340,9 @@ def optimize_working_fidelity(length: int, noise: NoiseParams, protocol: str,
         try:
             parallel = _run_levels(config, protocol)[2]  # rejects an unknown protocol
         except InfeasibleError:
-            infeasible.append(float(f_work))
+            infeasible.append(config.f_work)
             continue
-        curve.append((float(f_work), parallel ** (1.0 / n_levels)))
+        curve.append((config.f_work, parallel ** (1.0 / n_levels)))
     if not curve:
         if not infeasible:
             raise ValidationError("the working-fidelity grid f_grid is empty")

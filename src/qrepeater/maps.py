@@ -27,7 +27,8 @@ from .errors import (
     PurificationImpossibleError,
     ValidationError,
 )
-from .states import BellDiagonalState, NoiseParams, checked_coeffs, werner_coeffs
+from .states import (BellDiagonalState, NoiseParams, checked_coeffs, require_in, require_int,
+                     werner_coeffs)
 
 #: The purification steps: twirl-based (Bennett et al.), rotation-based (Deutsch et al.).
 PROTOCOLS = ("bennett", "deutsch")
@@ -61,12 +62,12 @@ def connect_L(fidelity: float, length: int, noise: NoiseParams) -> float:
     ``length`` unless pairs and operations are perfect.  ``length == 1``
     returns the input unchanged.
     """
+    require_int("chain length", length)
     if length < 1:
         raise ValidationError(f"chain length must be >= 1, got {length}")
-    if not 0.25 <= fidelity <= 1.0:
-        raise ValidationError(f"fidelity must lie in [0.25, 1], got {fidelity!r}")
+    fidelity = require_in("fidelity", fidelity, 0.25, 1)
     if length == 1:
-        return float(fidelity)
+        return fidelity
     t = (4.0 * fidelity - 1.0) / 3.0
     noise_factor = noise.p1 * noise.p2 * (4.0 * noise.eta ** 2 - 1.0) / 3.0
     try:

@@ -11,6 +11,11 @@ With this ordering the index of a Bell state is a two-bit label
 (bit 0 = phase flip, bit 1 = bit flip) and composing flips is XOR on
 indices, which the connection algebra in :mod:`qrepeater.maps` relies on.
 
+``require_real``, ``require_in`` (a closed range) and ``require_int`` decide
+what counts as a number in the whole package, the CLI's ``--config`` included.
+Float fields store the float they return, so an int becomes a float; a bool,
+a string, ``None`` or an int beyond float range is an error naming the field.
+
 ``checked_coeffs`` is the one check of a Bell coefficient vector: the
 ``BellDiagonalState`` constructor runs it, and so do the hot loops, which
 carry plain tuples.  It is one pass in the common case (four ``float``
@@ -63,15 +68,29 @@ def checked_coeffs(coeffs) -> tuple[float, float, float, float]:
     return tuple(x / total for x in raw) if clamped else raw
 
 
-def require_real(name: str, value) -> None:
-    """Reject a float field's ``value`` unless it is an int or a float.
-
-    A bool is an int subclass and compares as 0 or 1, and a string or a
-    complex number would die in the range check with a bare ``TypeError``;
-    each is rejected here with a ``ValidationError`` naming the field.
-    """
+def require_real(name: str, value) -> float:
+    """``value`` as a float if it is an int or a float, but not a bool (it compares as 0 or 1)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} exceeds float range") from None
+
+
+def require_in(name: str, value, lo, hi) -> float:
+    """:func:`require_real` in ``[lo, hi]`` (NaN fails); a plain float costs one class test."""
+    x = value if value.__class__ is float else require_real(name, value)
+    if not lo <= x <= hi:
+        raise ValidationError(f"{name} must lie in [{lo}, {hi}], got {value!r}")
+    return x
+
+
+def require_int(name: str, value) -> int:
+    """Reject ``value`` unless it is an int; a bool would pass as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an int, got {value!r}")
+    return value
 
 
 def werner_coeffs(fidelity: float) -> tuple[float, float, float, float]:
@@ -82,9 +101,7 @@ def werner_coeffs(fidelity: float) -> tuple[float, float, float, float]:
     three additions each round by at most 2**-53 (the division's error counts
     thrice), so ``f + off + off + off`` is within 7 * 2**-53 < 1e-15 of 1.
     """
-    f = float(fidelity)
-    if not 0.25 <= f <= 1.0:
-        raise ValidationError(f"Werner fidelity must lie in [0.25, 1.0], got {fidelity!r}")
+    f = require_in("Werner fidelity", fidelity, 0.25, 1.0)
     off = (1.0 - f) / 3.0
     return f, off, off, off
 
@@ -138,14 +155,8 @@ class NoiseParams:
     eta: float = 1.0
 
     def __post_init__(self):
-        for name in ("p1", "p2", "eta"):
-            require_real(name, getattr(self, name))
-        if not 0.0 <= self.p1 <= 1.0:
-            raise ValidationError(f"p1 must lie in [0, 1], got {self.p1!r}")
-        if not 0.0 <= self.p2 <= 1.0:
-            raise ValidationError(f"p2 must lie in [0, 1], got {self.p2!r}")
-        if not 0.5 <= self.eta <= 1.0:
-            raise ValidationError(f"eta must lie in [0.5, 1], got {self.eta!r}")
+        for name, lo in (("p1", 0), ("p2", 0), ("eta", 0.5)):
+            object.__setattr__(self, name, require_in(name, getattr(self, name), lo, 1))
 
     # Constants of the maps' kernels, derived once per instance.  A cached
     # property is stored in the instance dict, not as a field, so equality,

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -6,13 +7,15 @@ import sys
 from dataclasses import asdict, fields
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 NOISE = ("--p1", "0.995", "--p2", "0.995", "--eta", "0.995")
 
 import qrepeater
 from qrepeater import cli
 from qrepeater.cli import build_parser, entry, main
-from qrepeater.engine import TimingModel
+from qrepeater.engine import ProtocolConfig, TimingModel, simulate
+from qrepeater.errors import InfeasibleError, ValidationError
 from qrepeater.states import NoiseParams
 
 
@@ -374,6 +377,26 @@ class TestRepeaterCommand:
         assert code == 0
         assert json.loads(out)["noise"]["p1"] == 1.0
 
+    def test_int_valued_config_report_is_the_library_report(self, tmp_path, capsys):
+        # ints in float fields become floats in the dataclasses, not in the CLI, so a
+        # library run prints 1.0 as the CLI does, where it used to keep the int 1
+        report = simulate(ProtocolConfig(4, 2, "B", 1, 1, NoiseParams(1, 1, 1),
+                                         TimingModel(1, 1, 1, 1)))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"scheme": "B", "N": 4, "L": 2}
+                                     | dict.fromkeys(cli._FLOAT_KEYS, 1)))
+        code, out, err = run_cli(capsys, "repeater", "--config", str(config))
+        assert code == 0, err
+        assert out == json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(TimingModel)])
+    def test_timing_int_beyond_float_range_is_one_error_line(self, tmp_path, capsys, key):
+        # it used to pass the check and die in the run with an OverflowError traceback
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: 10 ** 400}))
+        code, out, err = run_cli(capsys, "repeater", "--config", str(config))
+        assert (code, out, err) == (2, "", f"error: {key} exceeds float range\n")
+
     def test_invalid_segment_count_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "repeater", "--scheme", "B", "--N", "12")
         assert code == 2
@@ -423,6 +446,55 @@ class TestRepeaterCommand:
                                "--out", str(tmp_path / "nope" / "report.json"))
         assert code == 4
         assert "i/o error" in err
+
+
+#: Each float key's bounds: closed for the reliabilities and fidelities, open for timing.
+FLOAT_BOUNDS = {"p1": (0.0, 1.0), "p2": (0.0, 1.0), "eta": (0.5, 1.0),
+                "f_init": (0.25, 1.0), "f_work": (0.25, 1.0),
+                **dict.fromkeys([f.name for f in fields(TimingModel)], (0.0, math.inf))}
+
+
+def one_float_key():
+    """A float key of ``repeater`` and a value for it, valid or not."""
+    def values(key):
+        lo, hi = FLOAT_BOUNDS[key]
+        return st.one_of(
+            st.booleans(), st.integers(), st.just(10 ** 400), st.none(), st.text(max_size=4),
+            st.sampled_from([math.nan, math.inf, -math.inf, lo, hi,
+                             math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]),
+        )
+    return st.sampled_from(cli._FLOAT_KEYS).flatmap(lambda key: st.tuples(st.just(key),
+                                                                          values(key)))
+
+
+def library_run(key, value):
+    """The CLI's default run with ``key`` set to ``value``, built by the dataclasses alone."""
+    chosen = {key: value}
+    noise = NoiseParams(**{f.name: chosen.get(f.name, f.default) for f in fields(NoiseParams)})
+    timing = TimingModel(**{f.name: chosen.get(f.name, f.default) for f in fields(TimingModel)})
+    f_work = chosen.get("f_work", 0.96)
+    return simulate(ProtocolConfig(16, 2, "B", chosen.get("f_init", f_work), f_work, noise,
+                                   timing))
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(one_float_key())
+def test_config_float_keys_rejected_exactly_where_the_library_rejects(tmp_path, capsys, case):
+    # one check decides what a number is: the CLI exits 2 on exactly the values that
+    # the library rejects, with the library's message, and prints its report otherwise
+    key, value = case
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: value}))
+    code, out, err = run_cli(capsys, "repeater", "--config", str(config))
+    try:
+        report = library_run(key, value)
+    except ValidationError as exc:
+        assert (code, out, err) == (2, "", f"error: {exc}\n")
+    except InfeasibleError as exc:
+        assert (code, out, err) == (3, "", f"infeasible: {exc}\n")
+    else:
+        assert code == 0, err
+        assert out == json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
 
 
 class TestDeterminism:

@@ -91,6 +91,17 @@ class TestConfig:
             FLOAT_FIELDS[field](**{field: value})
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("field", list(FLOAT_FIELDS))
+    def test_int_beyond_float_range_is_named(self, field):
+        # a timing field used to take it, and the run then died with an OverflowError
+        with pytest.raises(ValidationError, match=f"^{field} exceeds float range$"):
+            FLOAT_FIELDS[field](**{field: 10 ** 400})
+
+    @pytest.mark.parametrize("field", list(FLOAT_FIELDS))
+    def test_int_is_stored_as_float(self, field):
+        value = getattr(FLOAT_FIELDS[field](**{field: 1}), field)
+        assert (type(value), value) == (float, 1.0)
+
     def test_comm_time(self):
         timing = TimingModel(segment_km=10.0, signal_speed=2e5)
         assert timing.comm_time(1) == pytest.approx(5e-5)

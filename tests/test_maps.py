@@ -283,6 +283,23 @@ def test_kernels_reject_invalid_input(call, error, message):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    # a chain of 2.5 pairs used to give 0.7744, and a bool one ran as one pair
+    (lambda: maps.connect_L(0.9, 2.5, PERFECT), "^chain length must be an int, got 2.5$"),
+    (lambda: maps.connect_L(0.9, True, PERFECT), "^chain length must be an int, got True$"),
+    (lambda: maps.connect_L("0.9", 2, PERFECT), "^fidelity must be a real number, got '0.9'$"),
+    (lambda: maps.connect_L(10 ** 400, 2, PERFECT), "^fidelity exceeds float range$"),
+    (lambda: WernerState("0.9"), "^Werner fidelity must be a real number, got '0.9'$"),
+    (lambda: WernerState(True), "^Werner fidelity must be a real number, got True$"),
+    (lambda: maps.purify_bennett(True, PERFECT),
+     "^Werner fidelity must be a real number, got True$"),
+], ids=["float-length", "bool-length", "str-fidelity", "huge-int-fidelity",
+        "str-werner", "bool-werner", "bool-purify"])
+def test_scalar_maps_reject_non_numbers_naming_the_argument(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 class TestFixedPoints:
     def test_noiseless_bennett(self):
         points = maps.fixed_points(maps.bennett_map(PERFECT))
