@@ -18,9 +18,9 @@ Monte Carlo):
 Each level of :func:`simulate` connects ``L`` pairs and then purifies, one
 step at a time, back up to the working fidelity; a step that gains nothing
 ends the run with an :class:`InfeasibleError` naming the level and the cause
-(``_stall_error``), as does a level that needs more than ``_MAX_STEPS``
-steps.  States are carried as checked Bell coefficient 4-tuples through the
-coefficient kernels of :mod:`qrepeater.maps`.
+(``_stall_error``), as does a level over ``_MAX_STEPS`` steps or with a
+total beyond float range.  States are carried as checked Bell coefficient
+4-tuples through the coefficient kernels of :mod:`qrepeater.maps`.
 
 Resource accounting: a level that needs ``m`` purification steps consumes on
 average ``M = prod(2 / p_succ)`` parallel copies of its connected pair (in
@@ -117,6 +117,9 @@ class ProtocolConfig:
         # f_init defaults to f_work in the CLI, so a bad f_work is named first
         for name in ("f_work", "f_init"):
             object.__setattr__(self, name, require_in(name, getattr(self, name), 0.25, 1))
+        for name, kind in (("noise", NoiseParams), ("timing", TimingModel)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise ValidationError(f"{name} must be a {kind.__name__}, got {value!r}")
 
     @cached_property
     def n_levels(self) -> int:
@@ -189,10 +192,10 @@ def _run_levels(config: ProtocolConfig, protocol: str | None):
 
     Everything that decides a run happens here: the protocol check, scheme
     A's Werner projection, the check of every kernel output, the step cap
-    and stall errors, and the pairs and time recurrences with their
-    finiteness check.  Returns ``(rows, final_fidelity, parallel, pairs,
-    total_time)``, where each row is one level's ``(span_segments,
-    fidelity_in, fidelity_connected, fidelity_achieved, p_succ, avg_pairs)``.
+    and stall errors, and the pairs and time recurrences, whose overflow
+    is an infeasibility of its level.  Returns ``(rows, final_fidelity,
+    parallel, pairs, total_time)``; a row is ``(span_segments, fidelity_in,
+    fidelity_connected, fidelity_achieved, p_succ, avg_pairs)`` of a level.
     """
     if protocol is not None and protocol not in PROTOCOLS:
         raise ValidationError(f"unknown purification protocol {protocol!r}")
@@ -232,24 +235,24 @@ def _run_levels(config: ProtocolConfig, protocol: str | None):
                     raise _stall_error(fidelity, connected[0], f_work, pumped)
                 p_succ.append(p)
                 state, fidelity = purified, purified[0]
+            steps = len(p_succ)
+            avg_pairs = 1.0 + steps if pumped else math.prod((2.0 / p for p in p_succ), start=1.0)
+            span = length ** level
+            parallel *= avg_pairs
+            pairs *= length * avg_pairs
+            round_time = timing.tau_op + timing.comm_time(span)
+            if pumped:
+                t_pair = total_time + round_time
+                total_time = t_pair + steps * (t_pair + round_time)
+            else:
+                total_time += (1 + steps) * round_time
+            # parallel never exceeds pairs, so it stays finite with it
+            for name, value in (("elementary_pairs", pairs), ("total_time", total_time)):
+                if not math.isfinite(value):
+                    raise InfeasibleError(f"{name} exceeds float range")
         except InfeasibleError as exc:
             raise _attach_level(exc, level)
-        steps = len(p_succ)
-        avg_pairs = 1.0 + steps if pumped else math.prod((2.0 / p for p in p_succ), start=1.0)
-        span = length ** level
         rows.append((span, f_in, connected[0], fidelity, p_succ, avg_pairs))
-        parallel *= avg_pairs
-        pairs *= length * avg_pairs
-        round_time = timing.tau_op + timing.comm_time(span)
-        if pumped:
-            t_pair = total_time + round_time
-            total_time = t_pair + steps * (t_pair + round_time)
-        else:
-            total_time += (1 + steps) * round_time
-        # parallel never exceeds pairs, so it stays finite with it
-        for name, value in (("elementary_pairs", pairs), ("total_time", total_time)):
-            if not math.isfinite(value):
-                raise ValidationError(f"level {level}: {name} exceeds float range")
     return rows, state[0], parallel, pairs, total_time
 
 
@@ -270,7 +273,7 @@ def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterRep
     round plus one round per purification step.  In scheme C the auxiliary
     pair of every step is re-created from scratch through all lower levels
     (sequentially), while the sub-builds within one creation run in parallel
-    across their spans.
+    across their spans.  A total beyond float range is infeasible at its level.
     """
     rows, final_fidelity, parallel, pairs, total_time = _run_levels(config, protocol)
     pumped = config.scheme == "C"

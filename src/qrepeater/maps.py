@@ -66,6 +66,8 @@ def connect_L(fidelity: float, length: int, noise: NoiseParams) -> float:
     if length < 1:
         raise ValidationError(f"chain length must be >= 1, got {length}")
     fidelity = require_in("fidelity", fidelity, 0.25, 1)
+    if not isinstance(noise, NoiseParams):
+        raise ValidationError(f"noise must be a NoiseParams, got {noise!r}")
     if length == 1:
         return fidelity
     t = (4.0 * fidelity - 1.0) / 3.0

@@ -270,7 +270,7 @@ def oracle_connect(pair_ab: BellDiagonalState, pair_bc: BellDiagonalState,
         fid = float(coeffs[0])
         off = (1.0 - fid) / 3.0
         return BellDiagonalState((fid, off, off, off))
-    return BellDiagonalState(tuple(coeffs))
+    return BellDiagonalState(tuple(coeffs.tolist()))
 
 
 def oracle_purify(kept: BellDiagonalState, sacrificed: BellDiagonalState,
@@ -309,7 +309,7 @@ def oracle_purify(kept: BellDiagonalState, sacrificed: BellDiagonalState,
             "post-selection kept no probability mass; degenerate parameter regime"
         )
     coeffs = bell_coefficients(partial_trace(kept_sum, (0, 1)) / p_succ)
-    return p_succ, BellDiagonalState(tuple(coeffs))
+    return p_succ, BellDiagonalState(tuple(coeffs.tolist()))
 
 
 def closed_form_deviations() -> tuple[float, float, float, float]:

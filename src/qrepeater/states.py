@@ -18,10 +18,10 @@ a string, ``None`` or an int beyond float range is an error naming the field.
 
 ``checked_coeffs`` is the one check of a Bell coefficient vector: the
 ``BellDiagonalState`` constructor runs it, and so do the hot loops, which
-carry plain tuples.  It is one pass in the common case (four ``float``
-calls, the sign tests, the sum test); clamping and renormalization run only
-when a coefficient is negative or NaN.  ``werner_coeffs`` is a range check
-and the Werner formula, whose coefficients pass that check by construction.
+carry plain tuples.  One pass of four class tests, the sign tests and the
+sum test covers the common case; a non-float goes through ``require_real``
+first.  ``werner_coeffs`` is a range check and the Werner formula, whose
+coefficients pass that check by construction.
 
 ``NoiseParams`` holds the reliabilities of the imperfect operations that
 act on these states; the closed forms and the oracle share it.
@@ -42,16 +42,16 @@ def checked_coeffs(coeffs) -> tuple[float, float, float, float]:
 
     Small negative round-off (>= -1e-12) is clamped to zero and the vector
     renormalized; anything worse, a length other than 4, or a sum (NaN
-    included) farther than 1e-12 from 1 is rejected.  The common case, no
-    coefficient negative or NaN, is one pass: four ``float`` calls, the
-    sign tests and the sum test.
+    included) farther than 1e-12 from 1 is rejected.  Four non-negative
+    floats take one pass: four class tests, the sign tests and the sum
+    test; any other number goes through :func:`require_real` first.
     """
     raw = tuple(coeffs)
     if len(raw) != 4:
-        raw = tuple(map(float, raw))  # a value float() rejects is reported before the length
         raise ValidationError(f"expected 4 Bell coefficients, got {len(raw)}")
     a, b, c, d = raw
-    raw = a, b, c, d = float(a), float(b), float(c), float(d)
+    if not a.__class__ is b.__class__ is c.__class__ is d.__class__ is float:
+        raw = a, b, c, d = tuple(require_real("Bell coefficient", x) for x in raw)
     # a NaN takes the clamping path too, and then fails the sum check
     clamped = not (a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0)
     if clamped:

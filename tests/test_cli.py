@@ -197,20 +197,21 @@ class TestSweepM:
             assert err.startswith("error: ") and "--levels" in err
             assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("argv, message", [
-        (("--noise-list", "nan"), "error: --noise-list values must lie in [0.5, 1], got nan\n"),
+    @pytest.mark.parametrize("argv, expected", [
+        (("--noise-list", "nan"),
+         (2, "", "error: --noise-list values must lie in [0.5, 1], got nan\n")),
         (("--noise-list", "0.995,0.3"),
-         "error: --noise-list values must lie in [0.5, 1], got 0.3\n"),
+         (2, "", "error: --noise-list values must lie in [0.5, 1], got 0.3\n")),
         (("--L", "100000", "--levels", "1000"),
-         "error: --L to the power --levels 1000 exceeds float range\n"),
-        (("--L", "1"), "error: --L must be at least 2, got 1\n"),
+         (2, "", "error: --L to the power --levels 1000 exceeds float range\n")),
+        (("--L", "1"), (2, "", "error: --L must be at least 2, got 1\n")),
+        # a run whose totals overflow is an infeasible point, skipped like any other
         (("--L", "2", "--levels", "1000"),
-         "error: --levels 1000 is too deep for --L 2: a run's totals exceed float range "
-         "at noise 0.995\n"),
+         (0, "noise\tworking_fidelity\tavg_pairs_per_level\n",
+          "skipped: noise=0.995: no feasible working fidelity on the grid [0.9, 0.9]\n")),
     ], ids=["nan", "below-range", "power", "L-below-2", "totals-overflow"])
-    def test_errors_name_the_flag(self, capsys, argv, message):
-        code, out, err = run_cli(capsys, "sweep-m", *argv, "--grid", "0.9:0.9:0.1")
-        assert (code, out, err) == (2, "", message)
+    def test_errors_name_the_flag(self, capsys, argv, expected):
+        assert run_cli(capsys, "sweep-m", *argv, "--grid", "0.9:0.9:0.1") == expected
 
     @pytest.mark.parametrize("grid", ["0.1:0.3:0.1", "0.9:1.1:0.1"])
     def test_grid_outside_fidelity_range_rejected(self, capsys, grid):
@@ -412,9 +413,9 @@ class TestRepeaterCommand:
     def test_totals_beyond_float_range_rejected(self, capsys, fmt):
         code, out, err = run_cli(capsys, "repeater", "--scheme", "A", "--N", str(2 ** 400),
                                  *NOISE, "--f-work", "0.94", "--format", fmt)
-        assert code == 2
+        assert code == 3
         assert out == ""
-        assert err.startswith("error: level ") and "elementary_pairs" in err
+        assert err.startswith("infeasible: level ") and "elementary_pairs" in err
 
     def test_step_cap_exits_infeasible(self, capsys):
         # just inside the saddle node a level needs more than 10,000 purification steps

@@ -73,6 +73,16 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"^{field} must be a real number, got "):
             FLOAT_FIELDS[field](**{field: bad})
 
+    @pytest.mark.parametrize("bad", [None, (0.9, 0.9, 0.9), {"p1": 0.9}],
+                             ids=["none", "tuple", "dict"])
+    @pytest.mark.parametrize("field, kind", [("noise", "NoiseParams"), ("timing", "TimingModel")])
+    def test_noise_and_timing_must_be_their_classes(self, field, kind, bad):
+        # each used to pass, and then died in simulate with an AttributeError
+        config = dict(n_segments=4, length=2, scheme="B", f_init=0.9, f_work=0.9, noise=NOISE)
+        with pytest.raises(ValidationError) as excinfo:
+            simulate(ProtocolConfig(**{**config, field: bad}))
+        assert str(excinfo.value) == f"{field} must be a {kind}, got {bad!r}"
+
     def test_bool_fields_do_not_reach_a_run(self):
         # a bool compares as 0 or 1, so without the type check this runs and reports f_work=True
         with pytest.raises(ValidationError, match="^p1 must be a real number, got True$"):
@@ -459,14 +469,16 @@ class TestOptimize:
                 assert result.infeasible == tuple(infeasible)
 
     def test_totals_overflow_names_its_level_as_simulate_does(self):
+        # an overflowing total is an infeasible level, so the sweep skips its point
         config = make_config(n_segments=2 ** 1000, f_init=0.9, f_work=0.9)
-        with pytest.raises(ValidationError) as from_simulate:
+        with pytest.raises(InfeasibleError) as from_simulate:
             simulate(config, "deutsch")
-        with pytest.raises(ValidationError) as from_sweep:
+        with pytest.raises(InfeasibleError) as from_sweep:
             optimize_working_fidelity(2, NOISE, "deutsch", [0.9], n_levels=1000)
-        assert re.fullmatch(r"level \d+: elementary_pairs exceeds float range",
-                            str(from_simulate.value))
-        assert str(from_sweep.value) == str(from_simulate.value)
+        match = re.fullmatch(r"level (\d+): elementary_pairs exceeds float range",
+                             str(from_simulate.value))
+        assert match and from_simulate.value.level == int(match.group(1))
+        assert str(from_sweep.value) == "no feasible working fidelity on the grid [0.9, 0.9]"
 
     @pytest.mark.parametrize("n_levels, message", [
         (True, "n_levels must be an int, got True"),

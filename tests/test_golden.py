@@ -3,7 +3,8 @@
 Each case in ``CASES`` has a file ``golden/<name>.json`` holding the exit
 code, stdout and stderr that ``qrepeater.cli.main`` produced for it.  The
 set covers every subcommand, schemes A, B and C, branching factors 2 and 3,
-N = 2^60, both output formats and the infeasible and invalid runs.
+N = 2^60, both output formats, the infeasible and invalid runs and a sweep
+that skips a noise value.
 
 Regenerate the files (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -41,6 +42,9 @@ CASES = {
     "sweep_m_deutsch_json": ("sweep-m", "--protocol", "deutsch", "--L", "3",
                              "--noise-list", "0.995", "--grid", "0.9:0.97:0.01",
                              "--levels", "4", "--format", "json"),
+    # near scheme A's threshold: at 0.9704 every point stalls or overflows its totals
+    "sweep_m_near_threshold_tsv": ("sweep-m", "--protocol", "bennett",
+                                   "--noise-list", "0.995,0.9704", "--grid", "0.86:0.9:0.01"),
     "repeater_a_l2_tsv": ("repeater", "--scheme", "A", "--N", "1024", *NOISE,
                           "--f-work", "0.94", "--format", "tsv"),
     "repeater_a_l3_json": ("repeater", "--scheme", "A", "--N", "81", "--L", "3", *NOISE,

@@ -293,8 +293,10 @@ def test_kernels_reject_invalid_input(call, error, message):
     (lambda: WernerState(True), "^Werner fidelity must be a real number, got True$"),
     (lambda: maps.purify_bennett(True, PERFECT),
      "^Werner fidelity must be a real number, got True$"),
+    # used to die with an AttributeError
+    (lambda: maps.connect_L(0.9, 2, None), "^noise must be a NoiseParams, got None$"),
 ], ids=["float-length", "bool-length", "str-fidelity", "huge-int-fidelity",
-        "str-werner", "bool-werner", "bool-purify"])
+        "str-werner", "bool-werner", "bool-purify", "none-noise"])
 def test_scalar_maps_reject_non_numbers_naming_the_argument(call, message):
     with pytest.raises(ValidationError, match=message):
         call()

@@ -176,6 +176,18 @@ def test_checked_coeffs_matches_reference(case):
         outcome(reference_checked_coeffs, container(values))
 
 
+@pytest.mark.parametrize("bad", [True, False, "1", "0", None, 1 + 0j],
+                         ids=["true", "false", "str-1", "str-0", "none", "complex"])
+@pytest.mark.parametrize("index", range(4))
+def test_checked_coeffs_rejects_non_numbers(index, bad):
+    # float() used to take a bool or a numeric string, so ("1", "0", "0", "0") built the target
+    values = [1.0 if index else 0.0, 0.0, 0.0, 0.0]
+    values[index] = bad
+    with pytest.raises(ValidationError) as excinfo:
+        BellDiagonalState(tuple(values))
+    assert str(excinfo.value) == f"Bell coefficient must be a real number, got {bad!r}"
+
+
 @settings(max_examples=300)
 @given(st.one_of(
     EDGE_VALUES,
