@@ -187,24 +187,22 @@ def _stall_error(stalled: float, connected: float, f_work: float,
     )
 
 
-def _run_levels(config: ProtocolConfig, protocol: str | None):
+def _run_levels(config: ProtocolConfig, protocol: str):
     """The level loop behind :func:`simulate` and :func:`optimize_working_fidelity`.
 
     Everything that decides a run happens here: the protocol check, scheme
     A's Werner projection, the check of every kernel output, the step cap
     and stall errors, and the pairs and time recurrences, whose overflow
-    is an infeasibility of its level.  Returns ``(rows, final_fidelity,
-    parallel, pairs, total_time)``; a row is ``(span_segments, fidelity_in,
-    fidelity_connected, fidelity_achieved, p_succ, avg_pairs)`` of a level.
+    is an infeasibility of its level.  Returns ``(rows, parallel, pairs,
+    total_time)``; a row holds the :class:`LevelRecord` fields of a level,
+    in order.
     """
-    if protocol is not None and protocol not in PROTOCOLS:
+    if protocol not in PROTOCOLS:
         raise ValidationError(f"unknown purification protocol {protocol!r}")
     pumped = config.scheme == "C"
     depolarize = config.scheme == "A"
     if not pumped:
         protocol = "bennett" if depolarize else "deutsch"
-    elif protocol is None:
-        protocol = "deutsch"
 
     timing, noise, f_work, length = config.timing, config.noise, config.f_work, config.length
     state = werner_coeffs(config.f_init)
@@ -252,11 +250,11 @@ def _run_levels(config: ProtocolConfig, protocol: str | None):
                     raise InfeasibleError(f"{name} exceeds float range")
         except InfeasibleError as exc:
             raise _attach_level(exc, level)
-        rows.append((span, f_in, connected[0], fidelity, p_succ, avg_pairs))
-    return rows, state[0], parallel, pairs, total_time
+        rows.append((level, span, f_in, connected[0], fidelity, steps, tuple(p_succ), avg_pairs))
+    return rows, parallel, pairs, total_time
 
 
-def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterReport:
+def simulate(config: ProtocolConfig, protocol: str = "deutsch") -> RepeaterReport:
     """Run the nested protocol: per level, connect ``L`` pairs, then purify to ``f_work``.
 
     The scheme fixes the two things that differ between the variants: whether
@@ -275,14 +273,9 @@ def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterRep
     (sequentially), while the sub-builds within one creation run in parallel
     across their spans.  A total beyond float range is infeasible at its level.
     """
-    rows, final_fidelity, parallel, pairs, total_time = _run_levels(config, protocol)
+    rows, parallel, pairs, total_time = _run_levels(config, protocol)
     pumped = config.scheme == "C"
-    levels = tuple(
-        LevelRecord(level=level, span_segments=span, fidelity_in=f_in,
-                    fidelity_connected=f_connected, fidelity_achieved=f_achieved,
-                    steps=len(p_succ), p_succ=tuple(p_succ), avg_pairs=avg_pairs)
-        for level, (span, f_in, f_connected, f_achieved, p_succ, avg_pairs)
-        in enumerate(rows, start=1))
+    levels = tuple(LevelRecord(*row) for row in rows)
     return RepeaterReport(
         scheme=config.scheme,
         n_segments=config.n_segments,
@@ -293,7 +286,7 @@ def simulate(config: ProtocolConfig, protocol: str | None = None) -> RepeaterRep
         noise=config.noise,
         timing=config.timing,
         levels=levels,
-        final_fidelity=final_fidelity,
+        final_fidelity=levels[-1].fidelity_achieved,
         parallel_resources=float(config.n_levels + 1) if pumped else parallel,
         elementary_pairs=pairs,
         total_time=total_time,
@@ -341,7 +334,7 @@ def optimize_working_fidelity(length: int, noise: NoiseParams, protocol: str,
         config = ProtocolConfig(n_segments=n_segments, length=length, scheme=scheme,
                                 f_init=f_work, f_work=f_work, noise=noise)
         try:
-            parallel = _run_levels(config, protocol)[2]  # rejects an unknown protocol
+            parallel = _run_levels(config, protocol)[1]  # rejects an unknown protocol
         except InfeasibleError:
             infeasible.append(config.f_work)
             continue

@@ -19,7 +19,8 @@ Iterating purification up to a working fidelity is the level loop of
 """
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 from .errors import (
     DegeneratePostSelectionError,
@@ -40,18 +41,16 @@ _PSUCC_EPS = 1e-15
 _SCAN_GRID = tuple(0.251 + (1.0 - 0.251) * i / 749 for i in range(750))
 
 
-class PurifyOutcome(NamedTuple):
+class PurifyOutcome(namedtuple("PurifyOutcome", "out_fidelity p_succ")):
     """Result of one purification step: kept fidelity and success probability."""
 
-    out_fidelity: float
-    p_succ: float
+    __slots__ = ()
 
 
-class FixedPoints(NamedTuple):
+class FixedPoints(namedtuple("FixedPoints", "f_min f_max")):
     """Lower (repelling) and upper (attracting) fixed points of a fidelity map."""
 
-    f_min: float
-    f_max: float
+    __slots__ = ()
 
 
 def connect_L(fidelity: float, length: int, noise: NoiseParams) -> float:
@@ -161,6 +160,8 @@ def purify_bennett(fidelity: float, noise: NoiseParams) -> PurifyOutcome:
     to Werner form before the next step, as the protocol prescribes.
     """
     werner = werner_coeffs(fidelity)
+    if not isinstance(noise, NoiseParams):
+        raise ValidationError(f"noise must be a NoiseParams, got {noise!r}")
     p_succ, out = purify_coeffs(werner, werner, noise, "bennett")
     return PurifyOutcome(checked_coeffs(out)[0], p_succ)
 
@@ -241,9 +242,3 @@ def fixed_points(fidelity_map: Callable[[float], float]) -> FixedPoints:
         raise NumericError(f"expected two diagonal crossings, found {len(roots)}: {roots}")
     return FixedPoints(roots[0], roots[-1])
 
-
-def eq_noiseless_bennett(fidelity: float) -> float:
-    """Noiseless twirl-protocol map, used as an independent reduction check."""
-    f = fidelity
-    x = (1.0 - f) / 3.0
-    return (f * f + x * x) / (f * f + 2.0 * f * x + 5.0 * x * x)

@@ -24,9 +24,8 @@ Each circuit runs gate by gate, in few and small dense steps:
   way) that keep the block whose row and column bits of the read qubit
   both equal the outcome, weighted eta for the reading and 1 - eta for
   the other outcome.  The circuits sum these unnormalized branches, whose
-  traces are their probabilities; ``noisy_measure`` is the same readout
-  renormalized.  This is exact: a normalized branch times its
-  probability is the unnormalized branch.
+  traces are their probabilities.  This is exact: each branch is the
+  probability of its reading times the renormalized post-readout state.
 * The rotation-based step's perfect pi/2 rotations act as one two-qubit
   gate on each 4 x 4 pair matrix before the product.  This is exact: the
   rotations carry no noise (p1 stays out of purification) and each acts
@@ -174,27 +173,17 @@ def _readout_masks(n_qubits: int, target: int) -> np.ndarray:
 def _readout(rho: np.ndarray, target: int, eta: float):
     """Unnormalized readout branches ``(reading, probability, branch)`` of one qubit.
 
-    A branch is the projection on the reading with weight eta plus the
-    projection on the other outcome with weight 1 - eta; its trace is the
-    probability of the reading.  Readings come in the order 0, 1, and
-    branches of essentially zero probability are omitted.
+    The qubit is projected, but the apparatus reports the wrong outcome with
+    probability 1 - eta.  A branch is the projection on the reading with
+    weight eta plus the projection on the other outcome with weight
+    1 - eta; its trace is the probability of the reading.  Readings come in
+    the order 0, 1, and branches of essentially zero probability are omitted.
     """
     masks = _readout_masks(_num_qubits(rho), target)
     branches = rho * (eta * masks + (1.0 - eta) * masks[::-1])
     probs = branches.trace(axis1=1, axis2=2).real
     return [(reading, float(probs[reading]), branches[reading])
             for reading in (0, 1) if probs[reading] >= _BRANCH_EPS]
-
-
-def noisy_measure(rho: np.ndarray, target: int, eta: float):
-    """Imperfect computational-basis readout of one qubit.
-
-    The qubit is projected, but the apparatus reports the wrong outcome with
-    probability 1 - eta.  Returns a list of ``(reading, probability,
-    post_state)`` with the post-measurement states renormalized; branches of
-    essentially zero probability are omitted.
-    """
-    return [(reading, prob, branch / prob) for reading, prob, branch in _readout(rho, target, eta)]
 
 
 #: The four Bell kets as columns, in the package-wide ordering.

@@ -21,6 +21,7 @@ from qrepeater.engine import (
 )
 from qrepeater.errors import AuxPurificationError
 from qrepeater.states import NoiseParams, WernerState
+from test_maps import eq_modified_bennett
 
 NOISE_0995 = NoiseParams.uniform(0.995)
 PERFECT = NoiseParams()
@@ -49,7 +50,7 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_noiseless_reductions():
     worst = max(
         abs(maps.purify_bennett(float(f), PERFECT).out_fidelity
-            - maps.eq_noiseless_bennett(float(f)))
+            - eq_modified_bennett(float(f), 1.0, 1.0)[0])
         for f in np.linspace(0.25, 1.0, 100)
     )
     identity_ok = all(

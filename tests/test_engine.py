@@ -381,9 +381,11 @@ class TestSchemeC:
             simulate(config, protocol="bennett")
         assert excinfo.value.level == 1
 
-    def test_unknown_protocol_rejected(self):
+    @pytest.mark.parametrize("protocol", ["magic", None])
+    def test_unknown_protocol_rejected(self, protocol):
+        # None used to run the default, "deutsch"
         with pytest.raises(ValidationError, match="protocol"):
-            simulate(make_config(scheme="C", f_init=0.97), protocol="magic")
+            simulate(make_config(scheme="C", f_init=0.97), protocol=protocol)
 
     def test_pumping_ceiling_below_marginal_target(self):
         # with elementary pairs exactly at the working fidelity the pumping
@@ -495,10 +497,11 @@ class TestOptimize:
 
 
 def test_analytic_layers_load_without_numpy_or_oracle():
-    # the closed forms and the engine stay importable without the dense oracle
+    # the closed forms and the engine stay importable without the dense oracle, and,
+    # with site and its .pth files off (-S), without typing
     src = str(pathlib.Path(qrepeater.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import qrepeater.engine, qrepeater.maps; "
-            "print(sorted({'numpy', 'qrepeater.oracle'} & set(sys.modules)))")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+            "print(sorted({'numpy', 'qrepeater.oracle', 'typing'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                             check=True)
     assert result.stdout == "[]\n"

@@ -159,7 +159,7 @@ class TestPurifyBennett:
     def test_noiseless_reduction_on_fine_grid(self):
         for f in np.linspace(0.25, 1.0, 100):
             got = maps.purify_bennett(float(f), PERFECT)
-            assert abs(got.out_fidelity - maps.eq_noiseless_bennett(float(f))) <= 1e-14
+            assert abs(got.out_fidelity - eq_modified_bennett(float(f), 1.0, 1.0)[0]) <= 1e-14
 
     def test_noiseless_fixed_points_by_direct_evaluation(self):
         assert maps.purify_bennett(0.5, PERFECT).out_fidelity == pytest.approx(0.5, abs=1e-15)
@@ -295,8 +295,11 @@ def test_kernels_reject_invalid_input(call, error, message):
      "^Werner fidelity must be a real number, got True$"),
     # used to die with an AttributeError
     (lambda: maps.connect_L(0.9, 2, None), "^noise must be a NoiseParams, got None$"),
+    (lambda: maps.purify_bennett(0.9, None), "^noise must be a NoiseParams, got None$"),
+    (lambda: maps.fixed_points(maps.bennett_map(None)), "^noise must be a NoiseParams, got None$"),
 ], ids=["float-length", "bool-length", "str-fidelity", "huge-int-fidelity",
-        "str-werner", "bool-werner", "bool-purify", "none-noise"])
+        "str-werner", "bool-werner", "bool-purify", "none-noise", "none-noise-purify",
+        "none-noise-fixed-points"])
 def test_scalar_maps_reject_non_numbers_naming_the_argument(call, message):
     with pytest.raises(ValidationError, match=message):
         call()

@@ -144,12 +144,12 @@ class TestAgainstDenseReference:
         rng = np.random.default_rng(seed)
         n, order = register
         rho = random_density_matrix(rng, n)
-        got = orc.noisy_measure(rho, order[0], eta)
+        got = orc._readout(rho, order[0], eta)
         want = dense_noisy_measure(rho, order[0], eta)
         assert [reading for reading, _, _ in got] == [reading for reading, _, _ in want]
-        for (_, prob, post), (_, want_prob, want_post) in zip(got, want):
+        for (_, prob, branch), (_, want_prob, want_post) in zip(got, want):
             assert abs(prob - want_prob) <= 1e-13
-            assert np.abs(post - want_post).max() <= 1e-13
+            assert np.abs(branch - want_prob * want_post).max() <= 1e-13
 
     @given(seeds, registers, st.integers(0, 4))
     def test_partial_trace(self, seed, register, size):
@@ -239,29 +239,29 @@ class TestTwoQubitNoise:
 class TestMeasurement:
     def test_perfect_readout_of_ground_state(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
-        branches = orc.noisy_measure(rho, 0, 1.0)
+        branches = orc._readout(rho, 0, 1.0)
         assert len(branches) == 1
-        reading, prob, post = branches[0]
+        reading, prob, branch = branches[0]
         assert reading == 0 and prob == pytest.approx(1.0)
-        assert np.allclose(post, rho)
+        assert np.allclose(branch, rho)
 
     def test_misread_probability(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
         branches = dict(
-            (reading, prob) for reading, prob, _ in orc.noisy_measure(rho, 0, 0.995)
+            (reading, prob) for reading, prob, _ in orc._readout(rho, 0, 0.995)
         )
         assert branches[1] == pytest.approx(0.005, abs=1e-15)
 
     def test_maximally_mixed_is_uniform(self):
         rho = np.eye(2, dtype=complex) / 2
         for eta in (1.0, 0.9, 0.75):
-            for _, prob, _ in orc.noisy_measure(rho, 0, eta):
+            for _, prob, _ in orc._readout(rho, 0, eta):
                 assert prob == pytest.approx(0.5)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(6)
         rho = random_density_matrix(rng, 2)
-        total = sum(prob for _, prob, _ in orc.noisy_measure(rho, 1, 0.97))
+        total = sum(prob for _, prob, _ in orc._readout(rho, 1, 0.97))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -470,7 +470,7 @@ class TestCachedPlans:
         # cache a valid plan and readout masks on this register first
         orc.apply_noisy_gate(rho, orc.CNOT, (0, 2), 0.9)
         orc.partial_trace(rho, (0, 2))
-        orc.noisy_measure(rho, 2, 0.9)
+        orc._readout(rho, 2, 0.9)
         calls = {
             "gate": lambda targets: orc.apply_noisy_gate(rho, orc.CNOT, targets, 0.9),
             "trace": lambda targets: orc.partial_trace(rho, targets),
@@ -481,9 +481,9 @@ class TestCachedPlans:
             with pytest.raises(ValidationError, match="qubit index 3 out of range for 3 qubits"):
                 call((0, 3))
         with pytest.raises(ValidationError, match="qubit index 3 out of range for 3 qubits"):
-            orc.noisy_measure(rho, 3, 0.9)
+            orc._readout(rho, 3, 0.9)
         with pytest.raises(ValidationError, match="qubit index -1 out of range"):
-            orc.noisy_measure(rho, -1, 0.9)
+            orc._readout(rho, -1, 0.9)
         with pytest.raises(ValidationError, match="does not act on 2 qubits"):
             orc.apply_noisy_gate(rho, orc.X, (0, 2), 0.9)
         with pytest.raises(ValidationError, match="does not act on 1 qubits"):
