@@ -182,8 +182,18 @@ def purify_with_aux(target: BellDiagonalState, aux: BellDiagonalState,
 
 
 def bennett_map(noise: NoiseParams) -> Callable[[float], float]:
-    """The fidelity view of :func:`purify_bennett`, the map ``fixed_points`` searches."""
-    return lambda fidelity: purify_bennett(fidelity, noise).out_fidelity
+    """The fidelity view of :func:`purify_bennett`, the map ``fixed_points`` searches.
+
+    ``noise`` is checked once, here; each evaluation runs the same kernels
+    as :func:`purify_bennett`, bit for bit, without building its outcome.
+    """
+    if not isinstance(noise, NoiseParams):
+        raise ValidationError(f"noise must be a NoiseParams, got {noise!r}")
+
+    def fidelity_map(fidelity: float) -> float:
+        werner = werner_coeffs(fidelity)
+        return checked_coeffs(purify_coeffs(werner, werner, noise, "bennett")[1])[0]
+    return fidelity_map
 
 
 # On Werner pairs the rotation-based step only swaps two equal coefficients,

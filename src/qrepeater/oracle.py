@@ -10,10 +10,12 @@ layer models in closed form:
 * ``oracle_purify``   -- two-pair purification (``bennett`` or ``deutsch``
   variant) with post-selection on coinciding apparatus readings.
 
-Each circuit runs gate by gate, in few and small dense steps:
+Each primitive takes a (..., D, D) stack of density matrices.  Each circuit
+runs gate by gate, in few and small dense steps, and carries its four
+reading branches as one stack:
 
 * No gate builds a full-register operator.  A gate is two matrix products
-  on its target qubits' axes of the reshaped state, and gate noise traces
+  on its target qubits' axes of the reshaped stack, and gate noise traces
   the targets out and puts them back maximally mixed.  The axis
   permutation, its inverse, the shapes and the noise's I/K for each
   register size and target tuple form a plan, checked and built once and
@@ -22,18 +24,22 @@ Each circuit runs gate by gate, in few and small dense steps:
   still runs on every call.
 * A readout multiplies the state elementwise by 0/1 masks (cached the same
   way) that keep the block whose row and column bits of the read qubit
-  both equal the outcome, weighted eta for the reading and 1 - eta for
-  the other outcome.  The circuits sum these unnormalized branches, whose
-  traces are their probabilities.  This is exact: each branch is the
-  probability of its reading times the renormalized post-readout state.
+  both equal the outcome, weighted eta for the reading and 1 - eta for the
+  other outcome.  Two readouts give the four unnormalized branches, whose
+  traces are their probabilities; purification sums the two whose readings
+  agree.  This is exact: each branch is the probability of its reading
+  times the renormalized post-readout state.
+* Connection's basis change (a perfect Hadamard on the control) joins its
+  noisy CNOT as one two-qubit gate.  This is exact: the noise term, I/4 on
+  both qubits times the others' marginal, is unchanged by a unitary on them.
 * The rotation-based step's perfect pi/2 rotations act as one two-qubit
-  gate on each 4 x 4 pair matrix before the product.  This is exact: the
-  rotations carry no noise (p1 stays out of purification) and each acts
-  within its own pair, so it commutes with taking the product.
-* Connection traces out the middle node in each reading branch before the
-  noisy correction, which then acts on a 4 x 4.  This is exact: the
-  correction channel acts on qubit 3 alone, and a channel on one qubit
-  commutes with tracing out others.
+  gate on the stack of both 4 x 4 pair matrices before the product.  This
+  is exact: the rotations carry no noise (p1 stays out of purification)
+  and each acts within its own pair, so it commutes with taking the product.
+* Connection traces out the middle node of all four branches at once, and
+  applies their noisy corrections as one stacked gate on 4 x 4s.  This is
+  exact: the correction channel acts on qubit 3 alone, and a channel on one
+  qubit commutes with tracing out others.
 
 ``tests/test_oracle.py`` holds the kron-built primitives and both circuits
 in the literal gate order as the dense reference they must match to 1e-13.
@@ -73,16 +79,19 @@ ROT_X_POS = (I2 - 1j * X) / np.sqrt(2.0)
 ROT_X_NEG = (I2 + 1j * X) / np.sqrt(2.0)
 #: The rotation-based step's rotations on one pair, node A's qubit first.
 _PAIR_ROTATION = np.kron(ROT_X_POS, ROT_X_NEG)
-#: Connection's Pauli correction on qubit 3, indexed by the readings of qubits 1 and 2.
-_CORRECTIONS = ((I2, X), (Z, Z @ X))
+#: Connection's noisy CNOT (1 -> 2) and the basis change on qubit 1, as one gate.
+_BELL_MEASUREMENT = np.kron(HADAMARD, I2) @ CNOT
+#: Connection's Pauli correction on qubit 3 for readings m1, m2 of qubits 1, 2: entry 2*m1 + m2.
+_CORRECTIONS = np.array([I2, X, Z, Z @ X])
+_AGREE = np.eye(2, dtype=bool)  # purification keeps readings (0, 0) and (1, 1)
 
 _BRANCH_EPS = 1e-15
 
 
 def _num_qubits(rho: np.ndarray) -> int:
-    dim = rho.shape[0]
+    dim = rho.shape[-1] if rho.ndim else 0
     n = dim.bit_length() - 1
-    if rho.shape != (dim, dim) or 2 ** n != dim:
+    if rho.shape[-2:] != (dim, dim) or 2 ** n != dim:
         raise ValidationError(f"density matrix shape {rho.shape} is not a power of two")
     return n
 
@@ -95,23 +104,23 @@ def _check_targets(targets: tuple[int, ...], n_qubits: int) -> None:
             raise ValidationError(f"qubit index {t} out of range for {n_qubits} qubits")
 
 
-#: Bound of each cache: the two circuits use eight plans and three masks, the tests more.
+#: Bound of each cache: the two circuits use seven plans and three masks, the tests more.
 _CACHE_SIZE = 64
 
 
 class _Plan(NamedTuple):
-    """How to view an ``n``-qubit density matrix with some target qubits outermost.
+    """How to view a stack of ``n``-qubit density matrices with some target qubits outermost.
 
-    The frame has shape (K, R, R, K): the row index of the targets, in the
-    order given, then the other qubits' row and column indices in register
-    order, then the column index of the targets.  A gate on the targets is
-    then a plain matrix product on either side.
+    The frame has shape (B, K, R, R, K): the stack as one axis, the row index
+    of the targets, in the order given, then the other qubits' row and
+    column indices in register order, then the column index of the targets.
+    A gate on the targets is then a plain matrix product on either side.
     """
 
-    tensor: tuple[int, ...]  # (2,) * 2n: one axis per row bit, then one per column bit
+    tensor: tuple[int, ...]  # (-1,) + (2,) * 2n: the stack, one axis per row bit, per column bit
     axes: tuple[int, ...]  # tensor axes in frame order
     back: tuple[int, ...]  # the inverse permutation, frame order back to register order
-    frame: tuple[int, int, int, int]
+    frame: tuple[int, int, int, int, int]
     mixed: np.ndarray  # I/K as a read-only (K, 1, 1, K) frame: the state gate noise leaves
 
 
@@ -124,13 +133,14 @@ def _plan(n_qubits: int, targets: tuple[int, ...]) -> _Plan:
     """
     _check_targets(targets, n_qubits)
     rest = tuple(q for q in range(n_qubits) if q not in targets)
-    axes = targets + rest + tuple(n_qubits + q for q in rest + targets)
+    axes = (0,) + tuple(1 + q for q in targets + rest) + tuple(
+        1 + n_qubits + q for q in rest + targets)
     k = 2 ** len(targets)
     r = 2 ** n_qubits // k
     back = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     mixed = (np.eye(k) / k)[:, None, None, :]
     mixed.setflags(write=False)
-    return _Plan((2,) * (2 * n_qubits), axes, back, (k, r, r, k), mixed)
+    return _Plan((-1,) + (2,) * (2 * n_qubits), axes, back, (-1, k, r, r, k), mixed)
 
 
 def apply_noisy_gate(rho: np.ndarray, gate: np.ndarray, targets: tuple[int, ...],
@@ -138,25 +148,31 @@ def apply_noisy_gate(rho: np.ndarray, gate: np.ndarray, targets: tuple[int, ...]
     """``gate`` on ``targets`` (in their tensor order) with weight p, white noise otherwise.
 
     The gate acts on the targets' own axes only; the noise traces the
-    targets out and puts them back maximally mixed, I/2 on each.
+    targets out and puts them back maximally mixed, I/2 on each.  ``gate``
+    is one (K, K) matrix, or a stack with the states' leading shape.
     """
     plan = _plan(_num_qubits(rho), tuple(targets))
-    k = plan.frame[0]
-    if gate.shape != (k, k):
+    _, k, r, _, _ = plan.frame
+    if gate.shape[-2:] != (k, k):
         raise ValidationError(f"gate of shape {gate.shape} does not act on {len(targets)} qubits")
-    frame = rho.reshape(plan.tensor).transpose(plan.axes).reshape(k, -1)
-    ideal = ((gate @ frame).reshape(-1, k) @ gate.conj().T).reshape(plan.frame)
+    if gate.ndim > 2 and gate.shape[:-2] != rho.shape[:-2]:
+        raise ValidationError(f"gate stack {gate.shape} does not match states {rho.shape}")
+    gate = gate.reshape(-1, k, k)
+    frame = rho.reshape(plan.tensor).transpose(plan.axes).reshape(-1, k, r * r * k)
+    ideal = (gate @ frame).reshape(-1, r * r * k, k) @ gate.conj().transpose(0, 2, 1)
+    ideal = ideal.reshape(plan.frame)
     if p != 1.0:
-        reduced = ideal.trace(axis1=0, axis2=3)
-        ideal = p * ideal + (1.0 - p) * (plan.mixed * reduced[:, :, None])
+        reduced = ideal.trace(axis1=1, axis2=4)
+        ideal = p * ideal + (1.0 - p) * (plan.mixed * reduced[:, None, :, :, None])
     return ideal.reshape(plan.tensor).transpose(plan.back).reshape(rho.shape)
 
 
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """Trace out every qubit not listed in ``keep`` (result in ``keep`` order)."""
+    """Trace out every qubit not listed in ``keep`` (result in ``keep`` order), per matrix."""
     plan = _plan(_num_qubits(rho), tuple(keep))
+    k = plan.frame[1]
     frame = rho.reshape(plan.tensor).transpose(plan.axes).reshape(plan.frame)
-    return frame.trace(axis1=1, axis2=2)
+    return frame.trace(axis1=2, axis2=3).reshape(rho.shape[:-2] + (k, k))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -171,19 +187,23 @@ def _readout_masks(n_qubits: int, target: int) -> np.ndarray:
 
 
 def _readout(rho: np.ndarray, target: int, eta: float):
-    """Unnormalized readout branches ``(reading, probability, branch)`` of one qubit.
+    """Unnormalized readout branches of one qubit: (..., 2, D, D) and their (..., 2) traces.
 
     The qubit is projected, but the apparatus reports the wrong outcome with
     probability 1 - eta.  A branch is the projection on the reading with
     weight eta plus the projection on the other outcome with weight
-    1 - eta; its trace is the probability of the reading.  Readings come in
-    the order 0, 1, and branches of essentially zero probability are omitted.
+    1 - eta; its trace is the probability of the reading.  The new axis is
+    indexed by the reading; a branch of essentially zero probability is
+    dropped, that is, it and its probability are set to 0.
     """
     masks = _readout_masks(_num_qubits(rho), target)
-    branches = rho * (eta * masks + (1.0 - eta) * masks[::-1])
-    probs = branches.trace(axis1=1, axis2=2).real
-    return [(reading, float(probs[reading]), branches[reading])
-            for reading in (0, 1) if probs[reading] >= _BRANCH_EPS]
+    branches = rho[..., None, :, :] * (eta * masks + (1.0 - eta) * masks[::-1])
+    probs = branches.trace(axis1=-2, axis2=-1).real
+    kept = probs >= _BRANCH_EPS
+    if not kept.all():
+        branches[~kept] = 0.0
+        probs = np.where(kept, probs, 0.0)
+    return branches, probs
 
 
 #: The four Bell kets as columns, in the package-wide ordering.
@@ -196,14 +216,17 @@ _BELL = np.array(
     ],
     dtype=complex,
 ) / np.sqrt(2.0)
-
+_BELL_H = _BELL.conj().T
 
 _OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 
 
-def bell_diagonal_to_dm(state: BellDiagonalState) -> np.ndarray:
-    """4x4 density matrix of a Bell-diagonal state."""
-    return (_BELL * np.array(state.coeffs)) @ _BELL.conj().T
+def bell_diagonal_to_dm(state) -> np.ndarray:
+    """4x4 density matrix of a Bell-diagonal state; a (..., 4) coefficient array gives a stack."""
+    coeffs = np.asarray(state.coeffs if isinstance(state, BellDiagonalState) else state)
+    if coeffs.shape[-1:] != (4,):
+        raise ValidationError(f"expected Bell coefficient vectors, got shape {coeffs.shape}")
+    return (_BELL * coeffs[..., None, :]) @ _BELL_H
 
 
 def bell_coefficients(rho: np.ndarray) -> np.ndarray:
@@ -214,7 +237,7 @@ def bell_coefficients(rho: np.ndarray) -> np.ndarray:
     """
     if rho.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 matrix, got {rho.shape}")
-    in_bell = _BELL.conj().T @ rho @ _BELL
+    in_bell = _BELL_H @ rho @ _BELL
     off_diagonal = np.abs(in_bell[_OFF_DIAGONAL]).max()
     if off_diagonal > 1e-12:
         raise NumericError(
@@ -224,8 +247,9 @@ def bell_coefficients(rho: np.ndarray) -> np.ndarray:
     return in_bell.diagonal().real.copy()
 
 
-def _pair_product(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Four-qubit product of pair matrices: ``first`` on qubits (0, 1), ``second`` on (2, 3)."""
+def _pair_product(pairs: np.ndarray) -> np.ndarray:
+    """Four-qubit product of a stack of two pair matrices, on qubits (0, 1) and (2, 3)."""
+    first, second = pairs
     return (first[:, None, :, None] * second[None, :, None, :]).reshape(16, 16)
 
 
@@ -234,25 +258,22 @@ def oracle_connect(pair_ab: BellDiagonalState, pair_bc: BellDiagonalState,
     """Join two pairs by a noisy Bell measurement at the shared middle node.
 
     Qubits 1 and 2 sit at the middle node.  The Bell measurement is a noisy
-    CNOT (1 -> 2) followed by a basis change on the control and two noisy
-    readouts.  In each reading branch the middle node is traced out, and the
-    reading-conditioned Pauli correction acts on the remaining pair's qubit
-    3 as a noisy one-qubit operation; the unnormalized branches, whose
-    traces are their probabilities, are summed.  By default the resulting
-    pair is depolarized to Werner form; with ``twirl_output=False`` the raw
-    Bell-diagonal coefficients of the joined pair are returned instead.
+    CNOT (1 -> 2) followed by a perfect basis change on the control, applied
+    as one noisy gate, and two noisy readouts.  The middle node is traced
+    out of all four reading branches, and the reading-conditioned Pauli
+    corrections act on the remaining pair's qubit 3 as one stacked noisy
+    one-qubit gate; the unnormalized branches, whose traces are their
+    probabilities, are summed.  By default the resulting pair is depolarized
+    to Werner form; with ``twirl_output=False`` the raw Bell-diagonal
+    coefficients are returned.
     """
-    rho = _pair_product(bell_diagonal_to_dm(pair_ab), bell_diagonal_to_dm(pair_bc))
-    rho = apply_noisy_gate(rho, CNOT, (1, 2), noise.p2)
-    # the basis change is part of the measurement decomposition, not a noisy gate
-    rho = apply_noisy_gate(rho, HADAMARD, (1,), 1.0)
+    rho = _pair_product(bell_diagonal_to_dm(np.array((pair_ab.coeffs, pair_bc.coeffs))))
+    rho = apply_noisy_gate(rho, _BELL_MEASUREMENT, (1, 2), noise.p2)
 
-    joined = np.zeros((4, 4), dtype=complex)
-    for m1, _, rho1 in _readout(rho, 1, noise.eta):
-        for m2, _, rho2 in _readout(rho1, 2, noise.eta):
-            # the correction acts on qubit 3 alone, so it commutes with tracing out 1 and 2
-            outer = partial_trace(rho2, (0, 3))
-            joined += apply_noisy_gate(outer, _CORRECTIONS[m1][m2], (1,), noise.p1)
+    branches, _ = _readout(_readout(rho, 1, noise.eta)[0], 2, noise.eta)
+    # the corrections act on qubit 3 alone, so they commute with tracing out 1 and 2
+    outer = partial_trace(branches.reshape(4, 16, 16), (0, 3))
+    joined = apply_noisy_gate(outer, _CORRECTIONS, (1,), noise.p1).sum(axis=0)
 
     coeffs = bell_coefficients(joined)
     if twirl_output:
@@ -271,28 +292,23 @@ def oracle_purify(kept: BellDiagonalState, sacrificed: BellDiagonalState,
     apply a bilateral noisy CNOT (kept controls sacrificed), read out the
     sacrificed pair with imperfect detectors and keep the coinciding-reading
     branches.  The ``deutsch`` variant first applies perfect pi/2 rotations
-    of opposite sign on the two nodes, as one two-qubit gate on each pair
-    before the product: the model leaves the one-qubit gate noise p1 out of
-    purification, and each rotation acts within its own pair.
+    of opposite sign on the two nodes, as one two-qubit gate on the stack of
+    both pairs before the product: the model leaves the one-qubit gate noise
+    p1 out of purification, and each rotation acts within its own pair.
     """
     if protocol not in maps.PROTOCOLS:
         raise ValidationError(f"unknown purification protocol {protocol!r}")
-    first, second = bell_diagonal_to_dm(kept), bell_diagonal_to_dm(sacrificed)
+    pairs = bell_diagonal_to_dm(np.array((kept.coeffs, sacrificed.coeffs)))
     if protocol == "deutsch":
-        first = apply_noisy_gate(first, _PAIR_ROTATION, (0, 1), 1.0)
-        second = apply_noisy_gate(second, _PAIR_ROTATION, (0, 1), 1.0)
-    rho = _pair_product(first, second)
+        pairs = apply_noisy_gate(pairs, _PAIR_ROTATION, (0, 1), 1.0)
+    rho = _pair_product(pairs)
 
     rho = apply_noisy_gate(rho, CNOT, (0, 2), noise.p2)
     rho = apply_noisy_gate(rho, CNOT, (1, 3), noise.p2)
 
-    kept_sum = np.zeros_like(rho)
-    p_succ = 0.0
-    for m2, _, rho2 in _readout(rho, 2, noise.eta):
-        for m3, prob, rho3 in _readout(rho2, 3, noise.eta):
-            if m2 == m3:
-                p_succ += prob
-                kept_sum += rho3
+    branches, probs = _readout(_readout(rho, 2, noise.eta)[0], 3, noise.eta)
+    p_succ = float(probs[_AGREE].sum())
+    kept_sum = branches[_AGREE].sum(axis=0)
     if p_succ < _BRANCH_EPS:
         raise DegeneratePostSelectionError(
             "post-selection kept no probability mass; degenerate parameter regime"

@@ -276,8 +276,11 @@ def test_vanishing_post_selection_agrees_with_oracle(protocol, kept, aux, degene
      ValidationError, r"^density matrix shape \(3, 3\) is not a power of two$"),
     (lambda: orc.bell_coefficients(np.eye(8, dtype=complex) / 8),
      ValidationError, r"^expected a 4x4 matrix, got \(8, 8\)$"),
+    # a (2, 1) array would broadcast against the Bell basis without the check
+    (lambda: orc.bell_diagonal_to_dm(np.ones((2, 1))),
+     ValidationError, r"^expected Bell coefficient vectors, got shape \(2, 1\)$"),
 ], ids=["empty-chain", "unknown-protocol", "odd-map", "oracle-non-power-of-two",
-        "oracle-not-4x4"])
+        "oracle-not-4x4", "oracle-not-bell-vectors"])
 def test_kernels_reject_invalid_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -316,6 +319,14 @@ class TestFixedPoints:
         assert 0.5 < points.f_min < points.f_max < 1.0
         assert points.f_min == pytest.approx(0.5851724025220608, abs=1e-9)
         assert points.f_max == pytest.approx(0.9148275974779392, abs=1e-9)
+
+    @pytest.mark.parametrize("noise", [PERFECT, NoiseParams(1.0, 0.97, 1.0),
+                                       NoiseParams.uniform(0.995), NoiseParams(0.9, 0.98, 0.96)],
+                             ids=["perfect", "p2-0.97", "uniform-0.995", "mixed"])
+    def test_map_is_purify_bennett_bit_for_bit(self, noise):
+        fmap = maps.bennett_map(noise)
+        for f in maps._SCAN_GRID:
+            assert fmap(f) == maps.purify_bennett(f, noise).out_fidelity
 
     def test_fixed_points_satisfy_map(self):
         fmap = maps.bennett_map(NoiseParams(1.0, 0.98, 0.99))

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -101,12 +102,38 @@ def dense_noisy_measure(rho, target, eta):
     return branches
 
 
+def dense_bell_state(coeffs):
+    """sum_k c_k |B_k><B_k| over the Bell kets phi+, phi-, psi+, psi- built with kron."""
+    e0, e1 = np.eye(2, dtype=complex)
+    kets = [(np.kron(e0, x) + sign * np.kron(e1, y)) / np.sqrt(2.0)
+            for x, y in ((e0, e1), (e1, e0)) for sign in (1, -1)]
+    return sum(c * np.outer(ket, ket.conj()) for c, ket in zip(coeffs, kets))
+
+
 def random_unitary(rng, dim):
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def random_stack(rng, stack, n_qubits):
+    """Random density matrices of ``n_qubits`` in a stack of shape ``stack``."""
+    dim = 2 ** n_qubits
+    mats = [random_density_matrix(rng, n_qubits) for _ in np.ndindex(stack)]
+    return np.array(mats).reshape(stack + (dim, dim))
+
+
+def random_unitaries(rng, stack, dim):
+    mats = [random_unitary(rng, dim) for _ in np.ndindex(stack)]
+    return np.array(mats).reshape(stack + (dim, dim))
+
+
 seeds = st.integers(0, 2 ** 32 - 1)
+# weights of at least 0.01 leave every coherence room of at least 2.5e-11
+# below the positivity limit sqrt(c_j c_k)
+bell_weights = st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4).map(
+    lambda w: np.array(w) / sum(w))
+#: leading stack shapes of the primitives' inputs: one matrix, three, and a 2 x 3 stack
+stacks = st.sampled_from([(), (3,), (2, 3)])
 # a register of 2..4 qubits and an ordering of its qubits to draw targets from
 registers = st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), st.permutations(range(n))))
 gate_weights = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
@@ -114,49 +141,78 @@ ALL_PAIRS = list(itertools.permutations(range(4), 2))
 
 
 class TestAgainstDenseReference:
-    @given(seeds, registers, gate_weights)
-    def test_one_qubit_gate(self, seed, register, p):
-        rng = np.random.default_rng(seed)
-        n, order = register
-        rho, gate = random_density_matrix(rng, n), random_unitary(rng, 2)
-        got = orc.apply_noisy_gate(rho, gate, (order[0],), p)
-        assert np.abs(got - dense_noisy_gate(rho, gate, (order[0],), p)).max() <= 1e-13
+    """Every primitive on one matrix and on stacks, each slice against the dense reference."""
 
-    @given(seeds, registers, gate_weights)
-    def test_two_qubit_gate(self, seed, register, p):
+    @staticmethod
+    def check_gate(seed, register, p, stack, gate_each, size):
         rng = np.random.default_rng(seed)
         n, order = register
-        rho, gate = random_density_matrix(rng, n), random_unitary(rng, 4)
-        got = orc.apply_noisy_gate(rho, gate, order[:2], p)
-        assert np.abs(got - dense_noisy_gate(rho, gate, order[:2], p)).max() <= 1e-13
+        targets = tuple(order[:size])
+        rho = random_stack(rng, stack, n)
+        gates = random_unitaries(rng, stack if gate_each else (), 2 ** size)
+        got = orc.apply_noisy_gate(rho, gates, targets, p)
+        assert got.shape == rho.shape
+        for i in np.ndindex(stack):
+            gate = gates[i] if gate_each else gates
+            assert np.abs(got[i] - dense_noisy_gate(rho[i], gate, targets, p)).max() <= 1e-13
+
+    @given(seeds, registers, gate_weights, stacks, st.booleans())
+    def test_one_qubit_gate(self, seed, register, p, stack, gate_each):
+        self.check_gate(seed, register, p, stack, gate_each, 1)
+
+    @given(seeds, registers, gate_weights, stacks, st.booleans())
+    def test_two_qubit_gate(self, seed, register, p, stack, gate_each):
+        self.check_gate(seed, register, p, stack, gate_each, 2)
 
     @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda pair: f"{pair[0]}-{pair[1]}")
     def test_two_qubit_gate_on_every_ordered_pair(self, pair):
         # reversed and non-adjacent pairs such as (2, 0) and (3, 1) included
         rng = np.random.default_rng(ALL_PAIRS.index(pair))
         rho, gate = random_density_matrix(rng, 4), random_unitary(rng, 4)
+        stack, gates = random_stack(rng, (3,), 4), random_unitaries(rng, (3,), 4)
         for p in (1.0, 0.9):
             got = orc.apply_noisy_gate(rho, gate, pair, p)
             assert np.abs(got - dense_noisy_gate(rho, gate, pair, p)).max() <= 1e-13
+            got = orc.apply_noisy_gate(stack, gates, pair, p)
+            for i in range(3):
+                want = dense_noisy_gate(stack[i], gates[i], pair, p)
+                assert np.abs(got[i] - want).max() <= 1e-13
 
-    @given(seeds, registers, st.one_of(st.just(0.5), st.just(1.0), st.floats(0.5, 1.0)))
-    def test_readout(self, seed, register, eta):
+    @given(seeds, registers, st.one_of(st.just(0.5), st.just(1.0), st.floats(0.5, 1.0)), stacks)
+    def test_readout(self, seed, register, eta, stack):
         rng = np.random.default_rng(seed)
         n, order = register
-        rho = random_density_matrix(rng, n)
-        got = orc._readout(rho, order[0], eta)
-        want = dense_noisy_measure(rho, order[0], eta)
-        assert [reading for reading, _, _ in got] == [reading for reading, _, _ in want]
-        for (_, prob, branch), (_, want_prob, want_post) in zip(got, want):
-            assert abs(prob - want_prob) <= 1e-13
-            assert np.abs(branch - want_prob * want_post).max() <= 1e-13
+        rho = random_stack(rng, stack, n)
+        branches, probs = orc._readout(rho, order[0], eta)
+        assert branches.shape == stack + (2,) + rho.shape[-2:] and probs.shape == stack + (2,)
+        for i in np.ndindex(stack):
+            want = dense_noisy_measure(rho[i], order[0], eta)
+            kept = [reading for reading, _, _ in want]
+            for reading in {0, 1} - set(kept):  # dropped: exactly zero
+                assert probs[i][reading] == 0.0 and not branches[i][reading].any()
+            for reading, want_prob, want_post in want:
+                assert abs(probs[i][reading] - want_prob) <= 1e-13
+                assert np.abs(branches[i][reading] - want_prob * want_post).max() <= 1e-13
 
-    @given(seeds, registers, st.integers(0, 4))
-    def test_partial_trace(self, seed, register, size):
+    @given(seeds, registers, st.integers(0, 4), stacks)
+    def test_partial_trace(self, seed, register, size, stack):
         n, order = register
-        rho = random_density_matrix(np.random.default_rng(seed), n)
+        rho = random_stack(np.random.default_rng(seed), stack, n)
         keep = order[:size]
-        assert np.abs(orc.partial_trace(rho, keep) - dense_partial_trace(rho, keep)).max() <= 1e-13
+        got = orc.partial_trace(rho, keep)
+        assert got.shape == stack + (2 ** len(keep),) * 2
+        for i in np.ndindex(stack):
+            assert np.abs(got[i] - dense_partial_trace(rho[i], keep)).max() <= 1e-13
+
+    @given(st.lists(bell_weights, min_size=6, max_size=6), stacks)
+    def test_bell_diagonal_to_dm(self, weights, stack):
+        coeffs = np.array(weights[:int(np.prod(stack))]).reshape(stack + (4,))
+        got = orc.bell_diagonal_to_dm(coeffs)
+        assert got.shape == stack + (4, 4)
+        for i in np.ndindex(stack):
+            assert np.abs(got[i] - dense_bell_state(coeffs[i])).max() <= 1e-13
+            state = BellDiagonalState(tuple(coeffs[i].tolist()))
+            assert np.array_equal(orc.bell_diagonal_to_dm(state), got[i])
 
 
 class TestNoiseParams:
@@ -239,29 +295,27 @@ class TestTwoQubitNoise:
 class TestMeasurement:
     def test_perfect_readout_of_ground_state(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
-        branches = orc._readout(rho, 0, 1.0)
-        assert len(branches) == 1
-        reading, prob, branch = branches[0]
-        assert reading == 0 and prob == pytest.approx(1.0)
-        assert np.allclose(branch, rho)
+        branches, probs = orc._readout(rho, 0, 1.0)
+        # reading 1 has probability 0, so its branch is dropped
+        assert probs[1] == 0.0 and not branches[1].any()
+        assert probs[0] == pytest.approx(1.0)
+        assert np.allclose(branches[0], rho)
 
     def test_misread_probability(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
-        branches = dict(
-            (reading, prob) for reading, prob, _ in orc._readout(rho, 0, 0.995)
-        )
-        assert branches[1] == pytest.approx(0.005, abs=1e-15)
+        _, probs = orc._readout(rho, 0, 0.995)
+        assert probs[1] == pytest.approx(0.005, abs=1e-15)
 
     def test_maximally_mixed_is_uniform(self):
         rho = np.eye(2, dtype=complex) / 2
         for eta in (1.0, 0.9, 0.75):
-            for _, prob, _ in orc._readout(rho, 0, eta):
+            for prob in orc._readout(rho, 0, eta)[1]:
                 assert prob == pytest.approx(0.5)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(6)
         rho = random_density_matrix(rng, 2)
-        total = sum(prob for _, prob, _ in orc._readout(rho, 1, 0.97))
+        total = orc._readout(rho, 1, 0.97)[1].sum()
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -363,12 +417,6 @@ class TestPurify:
             orc.oracle_purify(s, s, PERFECT, "magic")
 
 
-# weights of at least 0.01 leave every coherence room of at least 2.5e-11
-# below the positivity limit sqrt(c_j c_k)
-bell_weights = st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4).map(
-    lambda w: np.array(w) / sum(w))
-
-
 def bell_basis_state(coeffs, coherence=None):
     """Density matrix with the given Bell-basis diagonal and an optional (j, k, z) coherence."""
     in_bell = np.diag(coeffs).astype(complex)
@@ -396,10 +444,11 @@ class TestBellDiagonalCheck:
 
 
 # Dense reference circuits: both circuits spelled out gate by gate with the
-# kron-built primitives above, in the literal gate order (four one-qubit
-# rotations, the correction on the full register before the trace).  The
-# oracle rotates each pair before the product and traces out the middle node
-# before the correction; both are exact, so the two must agree.
+# kron-built primitives above, in the literal gate order (the perfect Hadamard
+# after the noisy CNOT, four one-qubit rotations, each correction on the full
+# register before the trace).  The oracle joins the Hadamard to the CNOT,
+# rotates both pairs before the product and traces out the middle node before
+# the corrections; all three are exact, so the two must agree.
 
 reliabilities = st.one_of(st.just(1.0), st.floats(0.0, 1.0))
 readout_qualities = st.one_of(st.just(1.0), st.just(0.5), st.floats(0.5, 1.0))
@@ -466,28 +515,45 @@ class TestCircuitsAgainstDenseReference:
 
 class TestCachedPlans:
     def test_a_cached_plan_keeps_every_check(self):
-        rho = random_density_matrix(np.random.default_rng(12), 3)
-        # cache a valid plan and readout masks on this register first
-        orc.apply_noisy_gate(rho, orc.CNOT, (0, 2), 0.9)
-        orc.partial_trace(rho, (0, 2))
-        orc._readout(rho, 2, 0.9)
-        calls = {
-            "gate": lambda targets: orc.apply_noisy_gate(rho, orc.CNOT, targets, 0.9),
-            "trace": lambda targets: orc.partial_trace(rho, targets),
-        }
-        for call in calls.values():
-            with pytest.raises(ValidationError, match="duplicate target qubits"):
-                call((2, 2))
+        rng = np.random.default_rng(12)
+        # one matrix and a stack of three share the plans and meet the same checks
+        for rho in (random_density_matrix(rng, 3), random_stack(rng, (3,), 3)):
+            # cache a valid plan and readout masks on this register first
+            orc.apply_noisy_gate(rho, orc.CNOT, (0, 2), 0.9)
+            orc.partial_trace(rho, (0, 2))
+            orc._readout(rho, 2, 0.9)
+            calls = {
+                "gate": lambda targets: orc.apply_noisy_gate(rho, orc.CNOT, targets, 0.9),
+                "trace": lambda targets: orc.partial_trace(rho, targets),
+            }
+            for call in calls.values():
+                with pytest.raises(ValidationError, match="duplicate target qubits"):
+                    call((2, 2))
+                with pytest.raises(ValidationError,
+                                   match="qubit index 3 out of range for 3 qubits"):
+                    call((0, 3))
             with pytest.raises(ValidationError, match="qubit index 3 out of range for 3 qubits"):
-                call((0, 3))
-        with pytest.raises(ValidationError, match="qubit index 3 out of range for 3 qubits"):
-            orc._readout(rho, 3, 0.9)
-        with pytest.raises(ValidationError, match="qubit index -1 out of range"):
-            orc._readout(rho, -1, 0.9)
-        with pytest.raises(ValidationError, match="does not act on 2 qubits"):
-            orc.apply_noisy_gate(rho, orc.X, (0, 2), 0.9)
-        with pytest.raises(ValidationError, match="does not act on 1 qubits"):
-            orc.apply_noisy_gate(rho, orc.CNOT, (2,), 0.9)
+                orc._readout(rho, 3, 0.9)
+            with pytest.raises(ValidationError, match="qubit index -1 out of range"):
+                orc._readout(rho, -1, 0.9)
+            with pytest.raises(ValidationError, match="does not act on 2 qubits"):
+                orc.apply_noisy_gate(rho, orc.X, (0, 2), 0.9)
+            with pytest.raises(ValidationError, match="does not act on 1 qubits"):
+                orc.apply_noisy_gate(rho, orc.CNOT, (2,), 0.9)
+            # a gate stack must have the states' stack shape, one gate per state
+            with pytest.raises(ValidationError, match="does not match states"):
+                orc.apply_noisy_gate(rho, np.array([orc.CNOT] * 2), (0, 2), 0.9)
+
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (2, 8, 4), (2, 2, 6, 6), (0,), ()],
+                             ids=["3x3", "8x4", "6x6", "1-d", "0-d"])
+    def test_a_stack_of_non_square_or_non_power_of_two_matrices_is_rejected(self, shape):
+        rho = np.zeros(shape, dtype=complex)
+        message = rf"^density matrix shape {re.escape(str(shape))} is not a power of two$"
+        for call in (lambda: orc.apply_noisy_gate(rho, orc.X, (0,), 0.9),
+                     lambda: orc.partial_trace(rho, (0,)),
+                     lambda: orc._readout(rho, 0, 0.9)):
+            with pytest.raises(ValidationError, match=message):
+                call()
 
     def test_caches_are_bounded(self):
         assert orc._plan.cache_info().maxsize is not None
