@@ -1,7 +1,10 @@
 """Exact density-matrix simulation of noisy connection and purification circuits.
 
-The state is a dense complex density matrix over at most four qubits
-(16 x 16), which leaves no room for approximation error.  The module
+The state is a dense density matrix over at most four qubits (16 x 16),
+which leaves no room for approximation error.  It is real (float64) where
+the gates are, which is everywhere but the rotation-based step's pi/2
+rotations; after them that step goes on in real arithmetic when no
+imaginary part exceeds 1e-15, that is, rounding.  The module
 provides imperfect-operation primitives (depolarizing-style gate noise and
 an imperfect projective readout) and builds the two circuits the analytic
 layer models in closed form:
@@ -15,20 +18,22 @@ runs gate by gate, in few and small dense steps, and carries its four
 reading branches as one stack:
 
 * No gate builds a full-register operator.  A gate is two matrix products
-  on its target qubits' axes of the reshaped stack, and gate noise traces
-  the targets out and puts them back maximally mixed.  The axis
-  permutation, its inverse, the shapes and the noise's I/K for each
-  register size and target tuple form a plan, checked and built once and
-  kept in a bounded cache.  This is exact: a plan depends on its key
-  alone, and an invalid key raises before it is cached, so every check
-  still runs on every call.
-* A readout multiplies the state elementwise by 0/1 masks (cached the same
-  way) that keep the block whose row and column bits of the read qubit
-  both equal the outcome, weighted eta for the reading and 1 - eta for the
-  other outcome.  Two readouts give the four unnormalized branches, whose
-  traces are their probabilities; purification sums the two whose readings
-  agree.  This is exact: each branch is the probability of its reading
-  times the renormalized post-readout state.
+  on its target qubits' axes of the reshaped stack.  Gate noise scales
+  that result by p and adds (1 - p)/K times the targets' reduced state to
+  the blocks on the targets' diagonal, in place, which is tracing the
+  targets out and putting them back maximally mixed.  The axis
+  permutation, its inverse and the shapes for each register size and
+  target tuple form a plan, checked and built once and kept in a bounded
+  cache.  This is exact: a plan depends on its key alone, and an invalid
+  key raises before it is cached, so every check still runs on every call.
+* A readout of several qubits multiplies the state elementwise by a weight
+  per reading: a polynomial in eta over 0/1 masks (cached the same way)
+  that keep each block whose row and column bits of the read qubits equal
+  an outcome, weighted eta per qubit the reading gets right and 1 - eta per
+  qubit it misreads.  One readout of two qubits gives the four unnormalized
+  branches, whose traces are their probabilities; purification sums the
+  two whose readings agree.  This is exact: each branch is the probability
+  of its readings times the renormalized post-readout state.
 * Connection's basis change (a perfect Hadamard on the control) joins its
   noisy CNOT as one two-qubit gate.  This is exact: the noise term, I/4 on
   both qubits times the others' marginal, is unchanged by a unitary on them.
@@ -58,12 +63,12 @@ import numpy as np
 
 from . import maps
 from .errors import DegeneratePostSelectionError, NumericError, ValidationError
-from .states import BellDiagonalState, NoiseParams, WernerState
+from .states import BellDiagonalState, NoiseParams, werner_coeffs
 
-I2 = np.eye(2, dtype=complex)
-X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+I2 = np.eye(2)
+X = np.array([[0.0, 1.0], [1.0, 0.0]])
+Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 CNOT = np.array(
     [
         [1, 0, 0, 0],
@@ -71,7 +76,7 @@ CNOT = np.array(
         [0, 0, 0, 1],
         [0, 0, 1, 0],
     ],
-    dtype=complex,
+    dtype=float,
 )
 
 # pi/2 rotations about X, opposite handedness for the two ends of a pair.
@@ -83,7 +88,6 @@ _PAIR_ROTATION = np.kron(ROT_X_POS, ROT_X_NEG)
 _BELL_MEASUREMENT = np.kron(HADAMARD, I2) @ CNOT
 #: Connection's Pauli correction on qubit 3 for readings m1, m2 of qubits 1, 2: entry 2*m1 + m2.
 _CORRECTIONS = np.array([I2, X, Z, Z @ X])
-_AGREE = np.eye(2, dtype=bool)  # purification keeps readings (0, 0) and (1, 1)
 
 _BRANCH_EPS = 1e-15
 
@@ -104,7 +108,7 @@ def _check_targets(targets: tuple[int, ...], n_qubits: int) -> None:
             raise ValidationError(f"qubit index {t} out of range for {n_qubits} qubits")
 
 
-#: Bound of each cache: the two circuits use seven plans and three masks, the tests more.
+#: Bound of each cache: the two circuits use seven plans and two masks, the tests more.
 _CACHE_SIZE = 64
 
 
@@ -121,7 +125,6 @@ class _Plan(NamedTuple):
     axes: tuple[int, ...]  # tensor axes in frame order
     back: tuple[int, ...]  # the inverse permutation, frame order back to register order
     frame: tuple[int, int, int, int, int]
-    mixed: np.ndarray  # I/K as a read-only (K, 1, 1, K) frame: the state gate noise leaves
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -138,9 +141,7 @@ def _plan(n_qubits: int, targets: tuple[int, ...]) -> _Plan:
     k = 2 ** len(targets)
     r = 2 ** n_qubits // k
     back = tuple(sorted(range(len(axes)), key=axes.__getitem__))
-    mixed = (np.eye(k) / k)[:, None, None, :]
-    mixed.setflags(write=False)
-    return _Plan((-1,) + (2,) * (2 * n_qubits), axes, back, (-1, k, r, r, k), mixed)
+    return _Plan((-1,) + (2,) * (2 * n_qubits), axes, back, (-1, k, r, r, k))
 
 
 def apply_noisy_gate(rho: np.ndarray, gate: np.ndarray, targets: tuple[int, ...],
@@ -149,7 +150,8 @@ def apply_noisy_gate(rho: np.ndarray, gate: np.ndarray, targets: tuple[int, ...]
 
     The gate acts on the targets' own axes only; the noise traces the
     targets out and puts them back maximally mixed, I/2 on each.  ``gate``
-    is one (K, K) matrix, or a stack with the states' leading shape.
+    is one (K, K) matrix, or a stack with the states' leading shape.  The
+    result is real when the states and the gate are.
     """
     plan = _plan(_num_qubits(rho), tuple(targets))
     _, k, r, _, _ = plan.frame
@@ -160,10 +162,12 @@ def apply_noisy_gate(rho: np.ndarray, gate: np.ndarray, targets: tuple[int, ...]
     gate = gate.reshape(-1, k, k)
     frame = rho.reshape(plan.tensor).transpose(plan.axes).reshape(-1, k, r * r * k)
     ideal = (gate @ frame).reshape(-1, r * r * k, k) @ gate.conj().transpose(0, 2, 1)
-    ideal = ideal.reshape(plan.frame)
     if p != 1.0:
-        reduced = ideal.trace(axis1=1, axis2=4)
-        ideal = p * ideal + (1.0 - p) * (plan.mixed * reduced[:, None, :, :, None])
+        # a writable view of the blocks on the targets' diagonal, (B, K, R * R)
+        diagonal = np.einsum("bkmk->bkm", ideal.reshape(-1, k, r * r, k))
+        reduced = diagonal.sum(axis=1)
+        ideal *= p
+        diagonal += ((1.0 - p) / k) * reduced[:, None, :]
     return ideal.reshape(plan.tensor).transpose(plan.back).reshape(rho.shape)
 
 
@@ -176,31 +180,46 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _readout_masks(n_qubits: int, target: int) -> np.ndarray:
-    """Read-only (2, D, D) 0/1 masks: entry b keeps the block whose row and
-    column bits of ``target`` both equal b, which is projecting on outcome b."""
-    _check_targets((target,), n_qubits)
-    bit = (np.arange(2 ** n_qubits) >> (n_qubits - 1 - target)) & 1
-    masks = np.array([np.outer(bit == b, bit == b) for b in (0, 1)], dtype=float)
+def _readout_masks(n_qubits: int, targets: tuple[int, ...]) -> np.ndarray:
+    """Read-only 0/1 masks of the readings of T = len(targets) qubits, (T + 1, 2**T * D * D).
+
+    Row j, viewed as (2, ..., 2, D, D), keeps for the readings m the blocks
+    whose row and column bits of the targets both equal an outcome that
+    differs from m in j of the targets, which is projecting on those outcomes.
+    """
+    _check_targets(targets, n_qubits)
+    t = len(targets)
+    bits = (np.arange(2 ** n_qubits)[:, None] >> (n_qubits - 1 - np.array(targets, dtype=int))) & 1
+    readings = np.indices((2,) * t).reshape(t, 2 ** t).T
+    misreads = (readings[:, None, :] != bits[None, :, :]).sum(axis=-1)  # (2**T, D)
+    same_block = (bits[:, None, :] == bits[None, :, :]).all(axis=-1)  # (D, D)
+    masks = (np.arange(t + 1)[:, None, None, None] == misreads[None, :, :, None]) & same_block
+    masks = masks.reshape(t + 1, -1).astype(float)
     masks.setflags(write=False)
     return masks
 
 
-def _readout(rho: np.ndarray, target: int, eta: float):
-    """Unnormalized readout branches of one qubit: (..., 2, D, D) and their (..., 2) traces.
+def _readout(rho: np.ndarray, targets: tuple[int, ...], eta: float):
+    """Unnormalized readout branches of ``targets``: (..., 2, ..., 2, D, D) and their traces.
 
-    The qubit is projected, but the apparatus reports the wrong outcome with
-    probability 1 - eta.  A branch is the projection on the reading with
-    weight eta plus the projection on the other outcome with weight
-    1 - eta; its trace is the probability of the reading.  The new axis is
-    indexed by the reading; a branch of essentially zero probability is
-    dropped, that is, it and its probability are set to 0.
+    Each qubit is projected, but the apparatus reports the wrong outcome with
+    probability 1 - eta.  A branch is the projection on each outcome weighted
+    by eta for each qubit read right and 1 - eta for each misread, a
+    polynomial in eta over cached masks; its trace is the probability of the
+    readings.  The new axes are indexed by the readings, in target order.  A
+    branch is dropped, that is, it and its probability are set to 0, when its
+    probability or that of its first reading is below 1e-15.
     """
-    masks = _readout_masks(_num_qubits(rho), target)
-    branches = rho[..., None, :, :] * (eta * masks + (1.0 - eta) * masks[::-1])
+    masks = _readout_masks(_num_qubits(rho), tuple(targets))
+    t = len(targets)
+    poly = np.array([eta ** (t - j) * (1.0 - eta) ** j for j in range(t + 1)])
+    weights = (poly @ masks).reshape((2,) * t + rho.shape[-2:])
+    branches = rho.reshape(rho.shape[:-2] + (1,) * t + rho.shape[-2:]) * weights
     probs = branches.trace(axis1=-2, axis2=-1).real
     kept = probs >= _BRANCH_EPS
-    if not kept.all():
+    if not kept.all():  # else each first reading's probability is above 1e-15 too
+        first = probs.sum(axis=tuple(range(1 - t, 0)))
+        kept &= (first >= _BRANCH_EPS).reshape(first.shape + (1,) * (t - 1))
         branches[~kept] = 0.0
         probs = np.where(kept, probs, 0.0)
     return branches, probs
@@ -214,9 +233,8 @@ _BELL = np.array(
         [0.0, 0.0, 1.0, -1.0],
         [1.0, -1.0, 0.0, 0.0],
     ],
-    dtype=complex,
 ) / np.sqrt(2.0)
-_BELL_H = _BELL.conj().T
+_BELL_H = _BELL.T
 
 _OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 
@@ -239,7 +257,7 @@ def bell_coefficients(rho: np.ndarray) -> np.ndarray:
         raise ValidationError(f"expected a 4x4 matrix, got {rho.shape}")
     in_bell = _BELL_H @ rho @ _BELL
     off_diagonal = np.abs(in_bell[_OFF_DIAGONAL]).max()
-    if off_diagonal > 1e-12:
+    if not off_diagonal <= 1e-12:  # NaN fails too
         raise NumericError(
             f"state is not Bell-diagonal: off-diagonal Bell-basis element "
             f"{off_diagonal:.3e} exceeds 1e-12"
@@ -270,7 +288,7 @@ def oracle_connect(pair_ab: BellDiagonalState, pair_bc: BellDiagonalState,
     rho = _pair_product(bell_diagonal_to_dm(np.array((pair_ab.coeffs, pair_bc.coeffs))))
     rho = apply_noisy_gate(rho, _BELL_MEASUREMENT, (1, 2), noise.p2)
 
-    branches, _ = _readout(_readout(rho, 1, noise.eta)[0], 2, noise.eta)
+    branches, _ = _readout(rho, (1, 2), noise.eta)
     # the corrections act on qubit 3 alone, so they commute with tracing out 1 and 2
     outer = partial_trace(branches.reshape(4, 16, 16), (0, 3))
     joined = apply_noisy_gate(outer, _CORRECTIONS, (1,), noise.p1).sum(axis=0)
@@ -301,14 +319,16 @@ def oracle_purify(kept: BellDiagonalState, sacrificed: BellDiagonalState,
     pairs = bell_diagonal_to_dm(np.array((kept.coeffs, sacrificed.coeffs)))
     if protocol == "deutsch":
         pairs = apply_noisy_gate(pairs, _PAIR_ROTATION, (0, 1), 1.0)
+        if np.abs(pairs.imag).max() <= 1e-15:  # rounding: Bell-diagonal pairs rotate to reals
+            pairs = pairs.real
     rho = _pair_product(pairs)
 
     rho = apply_noisy_gate(rho, CNOT, (0, 2), noise.p2)
     rho = apply_noisy_gate(rho, CNOT, (1, 3), noise.p2)
 
-    branches, probs = _readout(_readout(rho, 2, noise.eta)[0], 3, noise.eta)
-    p_succ = float(probs[_AGREE].sum())
-    kept_sum = branches[_AGREE].sum(axis=0)
+    branches, probs = _readout(rho, (2, 3), noise.eta)
+    p_succ = float(probs[0, 0] + probs[1, 1])
+    kept_sum = branches[0, 0] + branches[1, 1]
     if p_succ < _BRANCH_EPS:
         raise DegeneratePostSelectionError(
             "post-selection kept no probability mass; degenerate parameter regime"
@@ -328,7 +348,7 @@ def closed_form_deviations() -> tuple[float, float, float, float]:
     values = (1.0, 0.995, 0.99, 0.97)
     worst_connect = worst_pf = worst_pp = 0.0
     for f in fidelities:
-        werner = WernerState(f).to_bell_diagonal()
+        werner = BellDiagonalState(werner_coeffs(f))
         for p1 in values:
             for p2 in values:
                 for eta in values:

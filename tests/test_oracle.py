@@ -102,6 +102,13 @@ def dense_noisy_measure(rho, target, eta):
     return branches
 
 
+def dense_two_readouts(rho, targets, eta):
+    """{(m1, m2): (probability, unnormalized branch)} of two nested dense readouts."""
+    return {(m1, m2): (prob1 * prob2, prob1 * prob2 * rho2)
+            for m1, prob1, rho1 in dense_noisy_measure(rho, targets[0], eta)
+            for m2, prob2, rho2 in dense_noisy_measure(rho1, targets[1], eta)}
+
+
 def dense_bell_state(coeffs):
     """sum_k c_k |B_k><B_k| over the Bell kets phi+, phi-, psi+, psi- built with kron."""
     e0, e1 = np.eye(2, dtype=complex)
@@ -183,7 +190,7 @@ class TestAgainstDenseReference:
         rng = np.random.default_rng(seed)
         n, order = register
         rho = random_stack(rng, stack, n)
-        branches, probs = orc._readout(rho, order[0], eta)
+        branches, probs = orc._readout(rho, (order[0],), eta)
         assert branches.shape == stack + (2,) + rho.shape[-2:] and probs.shape == stack + (2,)
         for i in np.ndindex(stack):
             want = dense_noisy_measure(rho[i], order[0], eta)
@@ -193,6 +200,47 @@ class TestAgainstDenseReference:
             for reading, want_prob, want_post in want:
                 assert abs(probs[i][reading] - want_prob) <= 1e-13
                 assert np.abs(branches[i][reading] - want_prob * want_post).max() <= 1e-13
+
+    @staticmethod
+    def check_two_qubit_readout(rho, targets, eta):
+        """Both readings at once against two nested dense readouts, slice by slice."""
+        stack = rho.shape[:-2]
+        branches, probs = orc._readout(rho, targets, eta)
+        assert branches.shape == stack + (2, 2) + rho.shape[-2:]
+        assert probs.shape == stack + (2, 2)
+        omitted = 0
+        for i in np.ndindex(stack):
+            want = dense_two_readouts(rho[i], targets, eta)
+            for reading in itertools.product((0, 1), repeat=2):
+                if reading not in want:  # dropped: exactly zero
+                    omitted += 1
+                    assert probs[i][reading] == 0.0 and not branches[i][reading].any()
+                    continue
+                want_prob, want_branch = want[reading]
+                assert abs(probs[i][reading] - want_prob) <= 1e-13
+                assert np.abs(branches[i][reading] - want_branch).max() <= 1e-13
+        return omitted
+
+    @given(seeds, registers, st.one_of(st.just(0.5), st.just(1.0), st.floats(0.5, 1.0)), stacks)
+    def test_two_qubit_readout(self, seed, register, eta, stack):
+        n, order = register
+        rho = random_stack(np.random.default_rng(seed), stack, n)
+        self.check_two_qubit_readout(rho, tuple(order[:2]), eta)
+
+    def test_two_qubit_readout_drops_what_the_reference_omits(self):
+        rng = np.random.default_rng(13)
+        ground = np.diag([1.0, 0.0])
+        # qubit 0 in |0>: a perfect reading 1 of it is omitted with both second readings;
+        # |00> on qubits (1, 2): reading 0 of qubit 1 is kept, and (0, 1) omitted after it
+        first = np.kron(ground, random_density_matrix(rng, 2))
+        second = np.kron(random_density_matrix(rng, 1), np.kron(ground, ground))
+        assert self.check_two_qubit_readout(first, (0, 2), 1.0) == 2
+        assert self.check_two_qubit_readout(np.array([second, second]), (1, 2), 1.0) == 6
+        assert self.check_two_qubit_readout(first, (0, 2), 0.9) == 0
+        # a rounding-size negative probability: reading (1, 0) is above 1e-15 and still
+        # dropped, as its first reading's probability 5e-16 is below
+        odd = np.diag([0.5, 0.5 - 5e-16, 2e-15, -1.5e-15])
+        assert self.check_two_qubit_readout(odd, (0, 1), 1.0) == 2
 
     @given(seeds, registers, st.integers(0, 4), stacks)
     def test_partial_trace(self, seed, register, size, stack):
@@ -295,7 +343,7 @@ class TestTwoQubitNoise:
 class TestMeasurement:
     def test_perfect_readout_of_ground_state(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
-        branches, probs = orc._readout(rho, 0, 1.0)
+        branches, probs = orc._readout(rho, (0,), 1.0)
         # reading 1 has probability 0, so its branch is dropped
         assert probs[1] == 0.0 and not branches[1].any()
         assert probs[0] == pytest.approx(1.0)
@@ -303,19 +351,19 @@ class TestMeasurement:
 
     def test_misread_probability(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
-        _, probs = orc._readout(rho, 0, 0.995)
+        _, probs = orc._readout(rho, (0,), 0.995)
         assert probs[1] == pytest.approx(0.005, abs=1e-15)
 
     def test_maximally_mixed_is_uniform(self):
         rho = np.eye(2, dtype=complex) / 2
         for eta in (1.0, 0.9, 0.75):
-            for prob in orc._readout(rho, 0, eta)[1]:
+            for prob in orc._readout(rho, (0,), eta)[1]:
                 assert prob == pytest.approx(0.5)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(6)
         rho = random_density_matrix(rng, 2)
-        total = orc._readout(rho, 1, 0.97)[1].sum()
+        total = orc._readout(rho, (1,), 0.97)[1].sum()
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -432,6 +480,10 @@ class TestBellDiagonalCheck:
         got = orc.bell_coefficients(bell_basis_state(coeffs))
         assert np.abs(got - coeffs).max() <= 1e-15
 
+    def test_nan_state_trips_the_check(self):
+        with pytest.raises(NumericError, match="not Bell-diagonal"):
+            orc.bell_coefficients(np.full((4, 4), np.nan))
+
     @given(bell_weights, st.sampled_from(list(itertools.combinations(range(4), 2))),
            st.floats(1e-8, 1.0), st.floats(0.0, 2 * np.pi))
     def test_coherence_between_bell_states_trips_the_check(self, coeffs, pair, scale, phase):
@@ -513,6 +565,33 @@ class TestCircuitsAgainstDenseReference:
         assert np.abs(np.array(out.coeffs) - bell_diagonal(want)).max() <= 1e-13
 
 
+class TestRealArithmetic:
+    """Every gate of the circuits is real but the rotation-based step's rotation."""
+
+    @pytest.mark.parametrize("circuit", ["connect", "bennett", "deutsch"])
+    @pytest.mark.parametrize("noise", [PERFECT, NoiseParams(0.9, 0.8, 0.5)],
+                             ids=["perfect", "noisy"])
+    def test_only_the_rotation_gets_a_complex_array(self, monkeypatch, circuit, noise):
+        calls = []
+        apply_noisy_gate = orc.apply_noisy_gate
+
+        def spy(rho, gate, targets, p):
+            calls.append((gate is orc._PAIR_ROTATION, np.iscomplexobj(rho),
+                          np.iscomplexobj(gate)))
+            return apply_noisy_gate(rho, gate, targets, p)
+
+        monkeypatch.setattr(orc, "apply_noisy_gate", spy)
+        first, second = BellDiagonalState(tuple(SKEWED)), BellDiagonalState(tuple(SKEWED[::-1]))
+        if circuit == "connect":
+            orc.oracle_connect(first, second, noise, twirl_output=False)
+        else:
+            orc.oracle_purify(first, second, noise, circuit)
+        rotations = [call for call in calls if call[0]]
+        assert len(rotations) == (circuit == "deutsch") and len(calls) == 2 + len(rotations)
+        for rotation, complex_state, complex_gate in calls:
+            assert not complex_state and complex_gate == rotation
+
+
 class TestCachedPlans:
     def test_a_cached_plan_keeps_every_check(self):
         rng = np.random.default_rng(12)
@@ -521,7 +600,7 @@ class TestCachedPlans:
             # cache a valid plan and readout masks on this register first
             orc.apply_noisy_gate(rho, orc.CNOT, (0, 2), 0.9)
             orc.partial_trace(rho, (0, 2))
-            orc._readout(rho, 2, 0.9)
+            orc._readout(rho, (2,), 0.9)
             calls = {
                 "gate": lambda targets: orc.apply_noisy_gate(rho, orc.CNOT, targets, 0.9),
                 "trace": lambda targets: orc.partial_trace(rho, targets),
@@ -533,9 +612,9 @@ class TestCachedPlans:
                                    match="qubit index 3 out of range for 3 qubits"):
                     call((0, 3))
             with pytest.raises(ValidationError, match="qubit index 3 out of range for 3 qubits"):
-                orc._readout(rho, 3, 0.9)
+                orc._readout(rho, (3,), 0.9)
             with pytest.raises(ValidationError, match="qubit index -1 out of range"):
-                orc._readout(rho, -1, 0.9)
+                orc._readout(rho, (-1,), 0.9)
             with pytest.raises(ValidationError, match="does not act on 2 qubits"):
                 orc.apply_noisy_gate(rho, orc.X, (0, 2), 0.9)
             with pytest.raises(ValidationError, match="does not act on 1 qubits"):
@@ -551,7 +630,7 @@ class TestCachedPlans:
         message = rf"^density matrix shape {re.escape(str(shape))} is not a power of two$"
         for call in (lambda: orc.apply_noisy_gate(rho, orc.X, (0,), 0.9),
                      lambda: orc.partial_trace(rho, (0,)),
-                     lambda: orc._readout(rho, 0, 0.9)):
+                     lambda: orc._readout(rho, (0,), 0.9)):
             with pytest.raises(ValidationError, match=message):
                 call()
 
