@@ -7,12 +7,12 @@ configuration, 3 infeasible protocol, 4 I/O error.
 
 Only ``oracle-check`` loads the density-matrix oracle, and with it numpy;
 every other subcommand runs on the closed forms without numpy, which keeps
-a call close to bare interpreter start-up.
+a call close to bare interpreter start-up.  For the same reason ``json`` is
+imported only where JSON is read or written.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import asdict, fields
@@ -88,6 +88,8 @@ def _write_output(args, text: str) -> None:
 
 def _table(header: list[str], rows: list[tuple], fmt: str) -> str:
     if fmt == "json":
+        import json
+
         payload = [dict(zip(header, row)) for row in rows]
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     lines = ["\t".join(header)]
@@ -160,6 +162,8 @@ def cmd_sweep_m(args) -> int:
 def _config_from_args(args) -> ProtocolConfig:
     file_values = {}
     if args.config:
+        import json
+
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 file_values = json.load(handle)
@@ -199,6 +203,8 @@ def _config_from_args(args) -> ProtocolConfig:
 def cmd_repeater(args) -> int:
     report = simulate(_config_from_args(args), protocol=args.purifier)
     if args.format == "json":
+        import json
+
         text = json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
     else:
         rows = [(rec.level, rec.span_segments, rec.fidelity_in, rec.fidelity_connected,
@@ -232,6 +238,7 @@ def cmd_oracle_check(args) -> int:
     print(f"deutsch map             max |closed form - oracle| = {worst_deutsch:.3e}")
     worst = max(worst_connect, worst_pf, worst_pp, worst_deutsch)
     if worst > 1e-12:
+        print(f"worst: {deviations.worst}")
         print(f"FAIL: max deviation {worst:.3e} exceeds 1e-12")
         return EXIT_CHECK_FAILED
     print("PASS: all deviations within 1e-12")

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .maps import PROTOCOLS, chain_coeffs, connect_L, purify_coeffs
 from .states import (NoiseParams, checked_coeffs, require_in, require_int, require_real,
-                     werner_coeffs)
+                     require_type, werner_coeffs)
 
 #: Least fidelity gain a purification step must make; a smaller one is a stall.
 _GAIN_EPS = 1e-13
@@ -117,9 +117,8 @@ class ProtocolConfig:
         # f_init defaults to f_work in the CLI, so a bad f_work is named first
         for name in ("f_work", "f_init"):
             object.__setattr__(self, name, require_in(name, getattr(self, name), 0.25, 1))
-        for name, kind in (("noise", NoiseParams), ("timing", TimingModel)):
-            if not isinstance(value := getattr(self, name), kind):
-                raise ValidationError(f"{name} must be a {kind.__name__}, got {value!r}")
+        require_type("noise", self.noise, NoiseParams)
+        require_type("timing", self.timing, TimingModel)
 
     @cached_property
     def n_levels(self) -> int:

@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .states import (BellDiagonalState, NoiseParams, checked_coeffs, require_in, require_int,
-                     werner_coeffs)
+                     require_type, werner_coeffs)
 
 #: The purification steps: twirl-based (Bennett et al.), rotation-based (Deutsch et al.).
 PROTOCOLS = ("bennett", "deutsch")
@@ -65,8 +65,7 @@ def connect_L(fidelity: float, length: int, noise: NoiseParams) -> float:
     if length < 1:
         raise ValidationError(f"chain length must be >= 1, got {length}")
     fidelity = require_in("fidelity", fidelity, 0.25, 1)
-    if not isinstance(noise, NoiseParams):
-        raise ValidationError(f"noise must be a NoiseParams, got {noise!r}")
+    require_type("noise", noise, NoiseParams)
     if length == 1:
         return fidelity
     t = (4.0 * fidelity - 1.0) / 3.0
@@ -116,6 +115,9 @@ def chain_coeffs(pairs: Sequence[Sequence[float]], noise: NoiseParams) -> tuple[
 def connect_states(pair_ab: BellDiagonalState, pair_bc: BellDiagonalState,
                    noise: NoiseParams) -> BellDiagonalState:
     """Bell-diagonal state after one noisy middle-node fusion (:func:`connect_coeffs`)."""
+    require_type("noise", noise, NoiseParams)
+    require_type("pair_ab", pair_ab, BellDiagonalState)
+    require_type("pair_bc", pair_bc, BellDiagonalState)
     return BellDiagonalState(connect_coeffs(pair_ab.coeffs, pair_bc.coeffs, noise))
 
 
@@ -160,8 +162,7 @@ def purify_bennett(fidelity: float, noise: NoiseParams) -> PurifyOutcome:
     to Werner form before the next step, as the protocol prescribes.
     """
     werner = werner_coeffs(fidelity)
-    if not isinstance(noise, NoiseParams):
-        raise ValidationError(f"noise must be a NoiseParams, got {noise!r}")
+    require_type("noise", noise, NoiseParams)
     p_succ, out = purify_coeffs(werner, werner, noise, "bennett")
     return PurifyOutcome(checked_coeffs(out)[0], p_succ)
 
@@ -176,6 +177,9 @@ def purify_with_aux(target: BellDiagonalState, aux: BellDiagonalState,
     output is *not* depolarized, which is what makes it converge in fewer
     steps.
     """
+    require_type("noise", noise, NoiseParams)
+    require_type("target", target, BellDiagonalState)
+    require_type("aux", aux, BellDiagonalState)
     p_succ, out = purify_coeffs(target.coeffs, aux.coeffs, noise, protocol)
     out_state = BellDiagonalState(out)
     return PurifyOutcome(out_state.fidelity, p_succ), out_state
@@ -187,8 +191,7 @@ def bennett_map(noise: NoiseParams) -> Callable[[float], float]:
     ``noise`` is checked once, here; each evaluation runs the same kernels
     as :func:`purify_bennett`, bit for bit, without building its outcome.
     """
-    if not isinstance(noise, NoiseParams):
-        raise ValidationError(f"noise must be a NoiseParams, got {noise!r}")
+    require_type("noise", noise, NoiseParams)
 
     def fidelity_map(fidelity: float) -> float:
         werner = werner_coeffs(fidelity)

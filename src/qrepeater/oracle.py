@@ -1,69 +1,73 @@
 """Exact density-matrix simulation of noisy connection and purification circuits.
 
-The state is a dense density matrix over at most four qubits (16 x 16),
-which leaves no room for approximation error.  It is real (float64) where
-the gates are, which is everywhere but the rotation-based step's pi/2
+The state is a dense density matrix over four qubits (16 x 16), which
+leaves no room for approximation error.  It is real (float64) where the
+gates are, which is everywhere but the rotation-based step's pi/2
 rotations; after them that step goes on in real arithmetic when no
-imaginary part exceeds 1e-15, that is, rounding.  The module
-provides imperfect-operation primitives (depolarizing-style gate noise and
-an imperfect projective readout) and builds the two circuits the analytic
-layer models in closed form:
+imaginary part exceeds 1e-15, that is, rounding.  Operations are imperfect
+as in the closed forms: a gate of reliability p acts with weight p and
+otherwise puts its qubits back maximally mixed, and a readout reports the
+wrong outcome with probability 1 - eta.  The module builds the two circuits
+the analytic layer models in closed form:
 
 * ``oracle_connect``  -- Bell measurement at a middle node joining two pairs,
 * ``oracle_purify``   -- two-pair purification (``bennett`` or ``deutsch``
   variant) with post-selection on coinciding apparatus readings.
 
-Each primitive takes a (..., D, D) stack of density matrices.  Each circuit
-runs gate by gate, in few and small dense steps, and carries its four
-reading branches as one stack:
+Each circuit is a fixed sequence of contractions on a register order chosen
+once, so that no gate needs the state transposed.  The state is held as a
+16 x 16 matrix whose rows index one pair of qubits' 4 x 4 matrix, flat,
+and whose columns the other pair's.  Connection runs on qubits
+(1, 2, 0, 3), the middle node's pair by the outer pair; purification on
+(0, 2, 1, 3), node A's pair by node B's.  A gate or a noise channel on one
+of these pairs is then a matrix product on one side: vec(G rho G^T) is
+kron(G, G) vec(rho), and gate noise of reliability p sends vec(rho) to
+p vec(rho) + (1 - p) vec(I/4) tr(rho).  Each step below is exact:
 
-* No gate builds a full-register operator.  A gate is two matrix products
-  on its target qubits' axes of the reshaped stack.  Gate noise scales
-  that result by p and adds (1 - p)/K times the targets' reduced state to
-  the blocks on the targets' diagonal, in place, which is tracing the
-  targets out and putting them back maximally mixed.  The axis
-  permutation, its inverse and the shapes for each register size and
-  target tuple form a plan, checked and built once and kept in a bounded
-  cache.  This is exact: a plan depends on its key alone, and an invalid
-  key raises before it is cached, so every check still runs on every call.
-* A readout of several qubits multiplies the state elementwise by a weight
-  per reading: a polynomial in eta over 0/1 masks (cached the same way)
-  that keep each block whose row and column bits of the read qubits equal
-  an outcome, weighted eta per qubit the reading gets right and 1 - eta per
-  qubit it misreads.  One readout of two qubits gives the four unnormalized
-  branches, whose traces are their probabilities; purification sums the
-  two whose readings agree.  This is exact: each branch is the probability
-  of its readings times the renormalized post-readout state.
+* The product state is gathered in that layout from the two pair
+  matrices with constant indices.  Purification's two CNOTs, one on each
+  side, permute those indices and are folded into them; a permutation
+  rounds nothing.  Both CNOTs' noise follows both gates, since channels on
+  disjoint pairs commute.
+* Reading qubits and discarding them is one step: the state's diagonal
+  blocks on the read qubits, one per outcome, weighted per reading by eta
+  for each qubit read right and 1 - eta for each misread.  A reading's
+  branch is its weighted sum of blocks, and the branch's trace is the
+  reading's probability.  A branch is dropped (weight and probability set
+  to 0) when its probability, or that of its first reading, is below 1e-15.
 * Connection's basis change (a perfect Hadamard on the control) joins its
-  noisy CNOT as one two-qubit gate.  This is exact: the noise term, I/4 on
-  both qubits times the others' marginal, is unchanged by a unitary on them.
+  noisy CNOT as one two-qubit gate G: the noise term, I/4 on both qubits
+  times the others' marginal, is unchanged by a unitary on them.  Only the
+  middle node's diagonal blocks of G rho G^T are read, which are rows 5a
+  of kron(G, G) times the state: one matrix product.
+* Connection's gate noise is applied on the read blocks: its term's block
+  is a quarter of their sum for every outcome, so it enters the readout
+  weights as (1 - p2)/4 each, by linearity.
+* Connection's Pauli corrections act on qubit 3 alone, so they commute with
+  tracing out the middle node; on the four branches of the outer pair they
+  are one constant matrix.  Their noise is applied once, on the summed
+  branches: the channel is linear, and its noise term, I/2 on qubit 3
+  times qubit 0's marginal, is the same for every Pauli.
 * The rotation-based step's perfect pi/2 rotations act as one two-qubit
-  gate on the stack of both 4 x 4 pair matrices before the product.  This
-  is exact: the rotations carry no noise (p1 stays out of purification)
-  and each acts within its own pair, so it commutes with taking the product.
-* Connection traces out the middle node of all four branches at once, and
-  applies their noisy corrections as one stacked gate on 4 x 4s.  This is
-  exact: the correction channel acts on qubit 3 alone, and a channel on one
-  qubit commutes with tracing out others.
+  gate on the stack of both 4 x 4 pair matrices before the product: they
+  carry no noise (p1 stays out of purification) and each acts within its
+  own pair, so it commutes with taking the product.
 
-``tests/test_oracle.py`` holds the kron-built primitives and both circuits
-in the literal gate order as the dense reference they must match to 1e-13.
-The closed-form maps in :mod:`qrepeater.maps` are required to agree with
-these routines to 1e-12; ``closed_form_deviations`` measures that on the
-grid behind ``qrepeater oracle-check`` and acceptance criterion 1.  This is
-the only module that needs numpy, and only the ``oracle-check`` subcommand
+``tests/test_oracle.py`` holds both circuits in the literal gate order,
+built with kron, as the dense reference they must match to 1e-13.  The
+closed-form maps in :mod:`qrepeater.maps` are required to agree with these
+routines to 1e-12; ``closed_form_deviations`` measures that on the grid
+behind ``qrepeater oracle-check`` and acceptance criterion 1.  This is the
+only module that needs numpy, and only the ``oracle-check`` subcommand
 imports it.
 """
 from __future__ import annotations
-
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from . import maps
 from .errors import DegeneratePostSelectionError, NumericError, ValidationError
-from .states import BellDiagonalState, NoiseParams, werner_coeffs
+from .states import BellDiagonalState, NoiseParams, require_type, werner_coeffs
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -82,147 +86,79 @@ CNOT = np.array(
 # pi/2 rotations about X, opposite handedness for the two ends of a pair.
 ROT_X_POS = (I2 - 1j * X) / np.sqrt(2.0)
 ROT_X_NEG = (I2 + 1j * X) / np.sqrt(2.0)
-#: The rotation-based step's rotations on one pair, node A's qubit first.
+#: The rotation-based step's rotations on one pair, node A's qubit first, and its adjoint.
 _PAIR_ROTATION = np.kron(ROT_X_POS, ROT_X_NEG)
-#: Connection's noisy CNOT (1 -> 2) and the basis change on qubit 1, as one gate.
-_BELL_MEASUREMENT = np.kron(HADAMARD, I2) @ CNOT
-#: Connection's Pauli correction on qubit 3 for readings m1, m2 of qubits 1, 2: entry 2*m1 + m2.
-_CORRECTIONS = np.array([I2, X, Z, Z @ X])
+_PAIR_ROTATION_H = _PAIR_ROTATION.conj().T
 
 _BRANCH_EPS = 1e-15
 
+def _product_gathers(layout: str) -> tuple[np.ndarray, np.ndarray]:
+    """(16, 16) indices into a flat (2, 4, 4) pair stack that gather each pair's factor.
 
-def _num_qubits(rho: np.ndarray) -> int:
-    dim = rho.shape[-1] if rho.ndim else 0
-    n = dim.bit_length() - 1
-    if rho.shape[-2:] != (dim, dim) or 2 ** n != dim:
-        raise ValidationError(f"density matrix shape {rho.shape} is not a power of two")
-    return n
-
-
-def _check_targets(targets: tuple[int, ...], n_qubits: int) -> None:
-    if len(set(targets)) != len(targets):
-        raise ValidationError(f"duplicate target qubits {targets}")
-    for t in targets:
-        if not 0 <= t < n_qubits:
-            raise ValidationError(f"qubit index {t} out of range for {n_qubits} qubits")
-
-
-#: Bound of each cache: the two circuits use seven plans and two masks, the tests more.
-_CACHE_SIZE = 64
-
-
-class _Plan(NamedTuple):
-    """How to view a stack of ``n``-qubit density matrices with some target qubits outermost.
-
-    The frame has shape (B, K, R, R, K): the stack as one axis, the row index
-    of the targets, in the order given, then the other qubits' row and
-    column indices in register order, then the column index of the targets.
-    A gate on the targets is then a plain matrix product on either side.
+    ``layout`` is an einsum of the first pair's bits ``ijkl`` (rows of qubits 0
+    and 1, columns of 0 and 1) and the second's ``mnop`` (qubits 2 and 3) that
+    lays out their product; it runs here on flat indices and ones.
     """
+    index, ones = np.arange(32).reshape(2, 2, 2, 2, 2), np.ones((2, 2, 2, 2), dtype=int)
+    first = np.einsum(layout, index[0], ones)
+    second = np.einsum(layout, ones, index[1])
+    return first.reshape(16, 16), second.reshape(16, 16)
 
-    tensor: tuple[int, ...]  # (-1,) + (2,) * 2n: the stack, one axis per row bit, per column bit
-    axes: tuple[int, ...]  # tensor axes in frame order
-    back: tuple[int, ...]  # the inverse permutation, frame order back to register order
-    frame: tuple[int, int, int, int, int]
+
+def _on_flat_pair(channel) -> np.ndarray:
+    """The 16 x 16 matrix of a linear map of 4 x 4 matrices, acting on them flat."""
+    return np.array([channel(basis.reshape(4, 4)).reshape(16) for basis in np.eye(16)]).T
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _plan(n_qubits: int, targets: tuple[int, ...]) -> _Plan:
-    """The checked frame of ``targets`` on an ``n_qubits`` register, built once per key.
+#: Connection's product: rows are qubits (1, 2) flat, columns qubits (0, 3) flat.
+_CONNECT_GATHERS = _product_gathers("ijkl,mnop->jmloinkp")
+#: Connection's noisy CNOT (1 -> 2) and the basis change on qubit 1, as one gate G, and
+#: the rows of kron(G, G) that give its middle-node diagonal block for each outcome.
+_BELL_MEASUREMENT = np.kron(HADAMARD, I2) @ CNOT
+_MIDDLE_BLOCKS = np.kron(_BELL_MEASUREMENT, _BELL_MEASUREMENT)[::5]
+#: Connection's Pauli correction on qubit 3 for readings m1, m2 of qubits 1, 2 (entry
+#: 2*m1 + m2), as one map from the four stacked flat branches of qubits (0, 3) to their
+#: corrected sum; stacked with that map followed by the correction's noise term.
+_PAULI_CORRECTIONS = np.concatenate(
+    [np.kron(np.kron(I2, c), np.kron(I2, c)) for c in (I2, X, Z, Z @ X)], axis=1)
+_QUBIT_3_MIXING = _on_flat_pair(
+    lambda rho: np.kron(np.trace(rho.reshape(2, 2, 2, 2), axis1=1, axis2=3), I2 / 2))
+_CORRECTIONS = np.stack((_PAULI_CORRECTIONS, _QUBIT_3_MIXING @ _PAULI_CORRECTIONS))
 
-    An invalid key raises before anything is cached, so every call with it
-    raises again.
+#: Purification's product after both CNOTs: rows are qubits (0, 2) flat, columns (1, 3)
+#: flat, and each CNOT is kron(CNOT, CNOT) on its side, a permutation.
+_CNOT_ON_FLAT_PAIR = np.kron(CNOT, CNOT).argmax(axis=1)
+_PURIFY_GATHERS = tuple(gather[np.ix_(_CNOT_ON_FLAT_PAIR, _CNOT_ON_FLAT_PAIR)]
+                        for gather in _product_gathers("ijkl,mnop->imkojnlp"))
+#: The identity and the two-qubit gate noise term, vec(I/4) tr(rho), on a flat pair.
+_FLAT_IDENTITY = np.eye(16)
+_PAIR_MIXING = _on_flat_pair(lambda rho: np.trace(rho) * np.eye(4) / 4)
+
+#: Misreads of reading m on outcome a of two qubits, both indexed 2 * first + second.
+_MISREADS = np.array([[bin(m ^ a).count("1") for a in range(4)] for m in range(4)])
+
+
+def _readings(outcomes: np.ndarray, eta: float, p: float = 1.0):
+    """Weights of two qubits' four readings on their four outcomes, and the readings' probabilities.
+
+    ``outcomes`` holds the outcomes' probabilities, the first qubit's bit
+    major.  Row m weights an outcome by eta per qubit read right and 1 - eta
+    per misread; with ``p < 1``, p times that plus (1 - p)/4, which is gate
+    noise on both qubits just before the readout.  A reading is dropped,
+    its row and probability set to 0, when its probability or that of its
+    first reading is below 1e-15.
     """
-    _check_targets(targets, n_qubits)
-    rest = tuple(q for q in range(n_qubits) if q not in targets)
-    axes = (0,) + tuple(1 + q for q in targets + rest) + tuple(
-        1 + n_qubits + q for q in rest + targets)
-    k = 2 ** len(targets)
-    r = 2 ** n_qubits // k
-    back = tuple(sorted(range(len(axes)), key=axes.__getitem__))
-    return _Plan((-1,) + (2,) * (2 * n_qubits), axes, back, (-1, k, r, r, k))
-
-
-def apply_noisy_gate(rho: np.ndarray, gate: np.ndarray, targets: tuple[int, ...],
-                     p: float) -> np.ndarray:
-    """``gate`` on ``targets`` (in their tensor order) with weight p, white noise otherwise.
-
-    The gate acts on the targets' own axes only; the noise traces the
-    targets out and puts them back maximally mixed, I/2 on each.  ``gate``
-    is one (K, K) matrix, or a stack with the states' leading shape.  The
-    result is real when the states and the gate are.
-    """
-    plan = _plan(_num_qubits(rho), tuple(targets))
-    _, k, r, _, _ = plan.frame
-    if gate.shape[-2:] != (k, k):
-        raise ValidationError(f"gate of shape {gate.shape} does not act on {len(targets)} qubits")
-    if gate.ndim > 2 and gate.shape[:-2] != rho.shape[:-2]:
-        raise ValidationError(f"gate stack {gate.shape} does not match states {rho.shape}")
-    gate = gate.reshape(-1, k, k)
-    frame = rho.reshape(plan.tensor).transpose(plan.axes).reshape(-1, k, r * r * k)
-    ideal = (gate @ frame).reshape(-1, r * r * k, k) @ gate.conj().transpose(0, 2, 1)
-    if p != 1.0:
-        # a writable view of the blocks on the targets' diagonal, (B, K, R * R)
-        diagonal = np.einsum("bkmk->bkm", ideal.reshape(-1, k, r * r, k))
-        reduced = diagonal.sum(axis=1)
-        ideal *= p
-        diagonal += ((1.0 - p) / k) * reduced[:, None, :]
-    return ideal.reshape(plan.tensor).transpose(plan.back).reshape(rho.shape)
-
-
-def partial_trace(rho: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """Trace out every qubit not listed in ``keep`` (result in ``keep`` order), per matrix."""
-    plan = _plan(_num_qubits(rho), tuple(keep))
-    k = plan.frame[1]
-    frame = rho.reshape(plan.tensor).transpose(plan.axes).reshape(plan.frame)
-    return frame.trace(axis1=2, axis2=3).reshape(rho.shape[:-2] + (k, k))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _readout_masks(n_qubits: int, targets: tuple[int, ...]) -> np.ndarray:
-    """Read-only 0/1 masks of the readings of T = len(targets) qubits, (T + 1, 2**T * D * D).
-
-    Row j, viewed as (2, ..., 2, D, D), keeps for the readings m the blocks
-    whose row and column bits of the targets both equal an outcome that
-    differs from m in j of the targets, which is projecting on those outcomes.
-    """
-    _check_targets(targets, n_qubits)
-    t = len(targets)
-    bits = (np.arange(2 ** n_qubits)[:, None] >> (n_qubits - 1 - np.array(targets, dtype=int))) & 1
-    readings = np.indices((2,) * t).reshape(t, 2 ** t).T
-    misreads = (readings[:, None, :] != bits[None, :, :]).sum(axis=-1)  # (2**T, D)
-    same_block = (bits[:, None, :] == bits[None, :, :]).all(axis=-1)  # (D, D)
-    masks = (np.arange(t + 1)[:, None, None, None] == misreads[None, :, :, None]) & same_block
-    masks = masks.reshape(t + 1, -1).astype(float)
-    masks.setflags(write=False)
-    return masks
-
-
-def _readout(rho: np.ndarray, targets: tuple[int, ...], eta: float):
-    """Unnormalized readout branches of ``targets``: (..., 2, ..., 2, D, D) and their traces.
-
-    Each qubit is projected, but the apparatus reports the wrong outcome with
-    probability 1 - eta.  A branch is the projection on each outcome weighted
-    by eta for each qubit read right and 1 - eta for each misread, a
-    polynomial in eta over cached masks; its trace is the probability of the
-    readings.  The new axes are indexed by the readings, in target order.  A
-    branch is dropped, that is, it and its probability are set to 0, when its
-    probability or that of its first reading is below 1e-15.
-    """
-    masks = _readout_masks(_num_qubits(rho), tuple(targets))
-    t = len(targets)
-    poly = np.array([eta ** (t - j) * (1.0 - eta) ** j for j in range(t + 1)])
-    weights = (poly @ masks).reshape((2,) * t + rho.shape[-2:])
-    branches = rho.reshape(rho.shape[:-2] + (1,) * t + rho.shape[-2:]) * weights
-    probs = branches.trace(axis1=-2, axis2=-1).real
-    kept = probs >= _BRANCH_EPS
-    if not kept.all():  # else each first reading's probability is above 1e-15 too
-        first = probs.sum(axis=tuple(range(1 - t, 0)))
-        kept &= (first >= _BRANCH_EPS).reshape(first.shape + (1,) * (t - 1))
-        branches[~kept] = 0.0
-        probs = np.where(kept, probs, 0.0)
-    return branches, probs
+    right, wrong = eta, 1.0 - eta
+    mixed = 0.25 * (1.0 - p)
+    weights = np.array((p * right * right + mixed, p * right * wrong + mixed,
+                        p * wrong * wrong + mixed))[_MISREADS]
+    probs = weights @ outcomes
+    if not probs.min() >= _BRANCH_EPS:  # NaN is dropped too
+        first = probs.reshape(2, 2).sum(axis=1).repeat(2)
+        dropped = ~((probs >= _BRANCH_EPS) & (first >= _BRANCH_EPS))
+        weights[dropped] = 0.0
+        probs[dropped] = 0.0
+    return weights, probs
 
 
 #: The four Bell kets as columns, in the package-wide ordering.
@@ -265,12 +201,6 @@ def bell_coefficients(rho: np.ndarray) -> np.ndarray:
     return in_bell.diagonal().real.copy()
 
 
-def _pair_product(pairs: np.ndarray) -> np.ndarray:
-    """Four-qubit product of a stack of two pair matrices, on qubits (0, 1) and (2, 3)."""
-    first, second = pairs
-    return (first[:, None, :, None] * second[None, :, None, :]).reshape(16, 16)
-
-
 def oracle_connect(pair_ab: BellDiagonalState, pair_bc: BellDiagonalState,
                    noise: NoiseParams, twirl_output: bool = True) -> BellDiagonalState:
     """Join two pairs by a noisy Bell measurement at the shared middle node.
@@ -279,19 +209,21 @@ def oracle_connect(pair_ab: BellDiagonalState, pair_bc: BellDiagonalState,
     CNOT (1 -> 2) followed by a perfect basis change on the control, applied
     as one noisy gate, and two noisy readouts.  The middle node is traced
     out of all four reading branches, and the reading-conditioned Pauli
-    corrections act on the remaining pair's qubit 3 as one stacked noisy
-    one-qubit gate; the unnormalized branches, whose traces are their
-    probabilities, are summed.  By default the resulting pair is depolarized
-    to Werner form; with ``twirl_output=False`` the raw Bell-diagonal
-    coefficients are returned.
+    corrections act on the remaining pair's qubit 3 as noisy one-qubit
+    gates; the unnormalized branches, whose traces are their probabilities,
+    are summed.  By default the resulting pair is depolarized to Werner
+    form; with ``twirl_output=False`` the raw Bell-diagonal coefficients are
+    returned.
     """
-    rho = _pair_product(bell_diagonal_to_dm(np.array((pair_ab.coeffs, pair_bc.coeffs))))
-    rho = apply_noisy_gate(rho, _BELL_MEASUREMENT, (1, 2), noise.p2)
-
-    branches, _ = _readout(rho, (1, 2), noise.eta)
-    # the corrections act on qubit 3 alone, so they commute with tracing out 1 and 2
-    outer = partial_trace(branches.reshape(4, 16, 16), (0, 3))
-    joined = apply_noisy_gate(outer, _CORRECTIONS, (1,), noise.p1).sum(axis=0)
+    require_type("noise", noise, NoiseParams)
+    require_type("pair_ab", pair_ab, BellDiagonalState)
+    require_type("pair_bc", pair_bc, BellDiagonalState)
+    pairs = bell_diagonal_to_dm(np.array((pair_ab.coeffs, pair_bc.coeffs))).reshape(32)
+    first, second = _CONNECT_GATHERS
+    blocks = _MIDDLE_BLOCKS @ (pairs[first] * pairs[second])  # flat 4 x 4 of qubits (0, 3)
+    weights, _ = _readings(blocks[:, ::5].sum(axis=1).real, noise.eta, noise.p2)
+    corrected = _CORRECTIONS @ (weights @ blocks).reshape(64)
+    joined = (np.array((noise.p1, 1.0 - noise.p1)) @ corrected).reshape(4, 4)
 
     coeffs = bell_coefficients(joined)
     if twirl_output:
@@ -316,37 +248,60 @@ def oracle_purify(kept: BellDiagonalState, sacrificed: BellDiagonalState,
     """
     if protocol not in maps.PROTOCOLS:
         raise ValidationError(f"unknown purification protocol {protocol!r}")
+    require_type("noise", noise, NoiseParams)
+    require_type("kept", kept, BellDiagonalState)
+    require_type("sacrificed", sacrificed, BellDiagonalState)
     pairs = bell_diagonal_to_dm(np.array((kept.coeffs, sacrificed.coeffs)))
     if protocol == "deutsch":
-        pairs = apply_noisy_gate(pairs, _PAIR_ROTATION, (0, 1), 1.0)
+        pairs = _PAIR_ROTATION @ pairs @ _PAIR_ROTATION_H
         if np.abs(pairs.imag).max() <= 1e-15:  # rounding: Bell-diagonal pairs rotate to reals
             pairs = pairs.real
-    rho = _pair_product(pairs)
+    pairs = pairs.reshape(32)
+    first, second = _PURIFY_GATHERS
+    state = pairs[first] * pairs[second]
+    if noise.p2 != 1.0:  # each CNOT's noise, on its side
+        channel = noise.p2 * _FLAT_IDENTITY + (1.0 - noise.p2) * _PAIR_MIXING
+        state = channel @ state @ channel.T
 
-    rho = apply_noisy_gate(rho, CNOT, (0, 2), noise.p2)
-    rho = apply_noisy_gate(rho, CNOT, (1, 3), noise.p2)
-
-    branches, probs = _readout(rho, (2, 3), noise.eta)
-    p_succ = float(probs[0, 0] + probs[1, 1])
-    kept_sum = branches[0, 0] + branches[1, 1]
+    # rows (0, 2) and columns (1, 3) as row and column bits: read x and y, keep the rest
+    tensor = state.reshape((2,) * 8)
+    weights, probs = _readings(np.einsum("ixixjyjy->xy", tensor).real.reshape(4), noise.eta)
+    p_succ = float(probs[0] + probs[3])
     if p_succ < _BRANCH_EPS:
         raise DegeneratePostSelectionError(
             "post-selection kept no probability mass; degenerate parameter regime"
         )
-    coeffs = bell_coefficients(partial_trace(kept_sum, (0, 1)) / p_succ)
+    agree = (weights[0] + weights[3]).reshape(2, 2)
+    kept_sum = np.einsum("ixkxjyly,xy->ijkl", tensor, agree).reshape(4, 4)
+    coeffs = bell_coefficients(kept_sum / p_succ)
     return p_succ, BellDiagonalState(tuple(coeffs.tolist()))
 
 
-def closed_form_deviations() -> tuple[float, float, float, float]:
+class Deviations(tuple):
+    """The four maxima of :func:`closed_form_deviations`, and ``worst``: where the largest is."""
+
+    worst: str
+
+
+def closed_form_deviations() -> Deviations:
     """Worst ``|closed form - oracle|`` on the check grid.
 
     Returns the maxima for connection fidelity, twirl-based purification
     fidelity, its ``p_succ``, and the rotation-based map (all four
-    coefficients and ``p_succ``) on seeded random Bell-diagonal pairs.
+    coefficients and ``p_succ``) on seeded random Bell-diagonal pairs.  Its
+    ``worst`` names the map and the case of the largest of the four.
     """
+    worst = {name: (0.0, "") for name in
+             ("connection fidelity", "purification fidelity", "purification p_succ",
+              "deutsch map")}
+
+    def record(name, deviation, case, noise):
+        if deviation > worst[name][0]:
+            worst[name] = (deviation, f"{case}, p1={noise.p1:g} p2={noise.p2:g} "
+                                      f"eta={noise.eta:g}")
+
     fidelities = (0.55, 0.7, 0.85, 0.97)
     values = (1.0, 0.995, 0.99, 0.97)
-    worst_connect = worst_pf = worst_pp = 0.0
     for f in fidelities:
         werner = BellDiagonalState(werner_coeffs(f))
         for p1 in values:
@@ -355,18 +310,18 @@ def closed_form_deviations() -> tuple[float, float, float, float]:
                     noise = NoiseParams(p1, p2, eta)
                     got = oracle_connect(werner, werner, noise).fidelity
                     want = maps.connect_L(f, 2, noise)
-                    worst_connect = max(worst_connect, abs(got - want))
+                    record("connection fidelity", abs(got - want), f"F={f:g}", noise)
         for p2 in values:
             for eta in values:
                 noise = NoiseParams(1.0, p2, eta)
                 p_succ, out = oracle_purify(werner, werner, noise, "bennett")
                 ref = maps.purify_bennett(f, noise)
-                worst_pf = max(worst_pf, abs(out.fidelity - ref.out_fidelity))
-                worst_pp = max(worst_pp, abs(p_succ - ref.p_succ))
+                record("purification fidelity", abs(out.fidelity - ref.out_fidelity),
+                       f"F={f:g}", noise)
+                record("purification p_succ", abs(p_succ - ref.p_succ), f"F={f:g}", noise)
 
-    worst_deutsch = 0.0
     rng = np.random.default_rng(20240817)
-    for _ in range(8):
+    for index in range(8):
         v1 = rng.random(4)
         v2 = rng.random(4)
         s1 = BellDiagonalState(tuple(v1 / v1.sum()))
@@ -377,5 +332,10 @@ def closed_form_deviations() -> tuple[float, float, float, float]:
                 p_succ, out = oracle_purify(s1, s2, noise, "deutsch")
                 ref, out_cf = maps.purify_with_aux(s1, s2, noise, "deutsch")
                 dev = max(abs(a - b) for a, b in zip(out.coeffs, out_cf.coeffs))
-                worst_deutsch = max(worst_deutsch, dev, abs(p_succ - ref.p_succ))
-    return worst_connect, worst_pf, worst_pp, worst_deutsch
+                record("deutsch map", max(dev, abs(p_succ - ref.p_succ)),
+                       f"random pair {index}", noise)
+
+    deviations = Deviations(deviation for deviation, _ in worst.values())
+    name = max(worst, key=lambda key: worst[key][0])
+    deviations.worst = f"{name} at {worst[name][1]}"
+    return deviations

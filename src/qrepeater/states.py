@@ -93,6 +93,13 @@ def require_int(name: str, value) -> int:
     return value
 
 
+def require_type(name: str, value, cls):
+    """Reject ``value`` unless it is a ``cls``, naming the argument; an entry point's first check."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
+
+
 def werner_coeffs(fidelity: float) -> tuple[float, float, float, float]:
     """Checked Bell coefficients of the Werner state of ``fidelity`` (in [1/4, 1]).
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -522,6 +523,9 @@ class TestOracleCheck:
         code, out, _ = run_cli(capsys, "oracle-check")
         assert code == 1
         assert out.splitlines()[-1] == "FAIL: max deviation 1.000e-09 exceeds 1e-12"
+        # the line before names the map and the case; every case is off by 1e-9
+        assert re.fullmatch(r"worst: connection fidelity at F=0\.(55|7|85|97), "
+                            r"p1=[.0-9]+ p2=[.0-9]+ eta=[.0-9]+", out.splitlines()[-2])
 
     def test_non_bell_diagonal_oracle_state_fails_in_one_line(self, capsys, monkeypatch):
         import numpy as np
@@ -574,16 +578,26 @@ FRESH_CASES = {
 }
 
 
+#: The fresh cases that write JSON, with the golden case of the same call, or read it.
+FRESH_JSON = {"purify_curve_deutsch": "purify_curve_deutsch_json",
+              "repeater_flags": "repeater_b_l2_json", "repeater_config": None}
+
+
 @pytest.mark.parametrize("name", sorted(FRESH_CASES))
 def test_analytic_subcommand_loads_neither_numpy_nor_oracle(tmp_path, name):
     expected_code, argv = FRESH_CASES[name]
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"scheme": "A", "N": 16, "p1": 0.995, "p2": 0.995,
                                   "eta": 0.995, "f_work": 0.94}))
-    code, _, _, imported = run_fresh([arg.format(config=config) for arg in argv])
+    code, out, _, imported = run_fresh([arg.format(config=config) for arg in argv])
     assert code == expected_code
     assert "qrepeater.engine" in imported  # the probe sees the package's own imports
     assert not {"numpy", "qrepeater.oracle"} & imported
+    # json is imported only by the calls that read or write JSON
+    assert ("json" in imported) == (name in FRESH_JSON)
+    if FRESH_JSON.get(name):
+        golden = pathlib.Path(__file__).parent / "golden" / f"{FRESH_JSON[name]}.json"
+        assert out == json.loads(golden.read_text())["stdout"]
 
 
 def test_oracle_check_loads_the_oracle_and_passes():

@@ -272,15 +272,13 @@ def test_vanishing_post_selection_agrees_with_oracle(protocol, kept, aux, degene
     # 9 sign changes of map(F) - F on the scan grid
     (lambda: maps.fixed_points(lambda f: f + 0.01 * math.sin(40 * f)),
      NumericError, "^expected two diagonal crossings, found 9: "),
-    (lambda: orc.apply_noisy_gate(np.eye(3, dtype=complex) / 3, orc.X, (0,), 1.0),
-     ValidationError, r"^density matrix shape \(3, 3\) is not a power of two$"),
     (lambda: orc.bell_coefficients(np.eye(8, dtype=complex) / 8),
      ValidationError, r"^expected a 4x4 matrix, got \(8, 8\)$"),
     # a (2, 1) array would broadcast against the Bell basis without the check
     (lambda: orc.bell_diagonal_to_dm(np.ones((2, 1))),
      ValidationError, r"^expected Bell coefficient vectors, got shape \(2, 1\)$"),
-], ids=["empty-chain", "unknown-protocol", "odd-map", "oracle-non-power-of-two",
-        "oracle-not-4x4", "oracle-not-bell-vectors"])
+], ids=["empty-chain", "unknown-protocol", "odd-map", "oracle-not-4x4",
+        "oracle-not-bell-vectors"])
 def test_kernels_reject_invalid_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -304,6 +302,33 @@ def test_kernels_reject_invalid_input(call, error, message):
         "str-werner", "bool-werner", "bool-purify", "none-noise", "none-noise-purify",
         "none-noise-fixed-points"])
 def test_scalar_maps_reject_non_numbers_naming_the_argument(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
+PHI_PLUS = BellDiagonalState(BELL["phi+"])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: maps.connect_states(PHI_PLUS, PHI_PLUS, None), "^noise must be a NoiseParams, got None$"),
+    (lambda: maps.purify_with_aux(PHI_PLUS, PHI_PLUS, None, "bennett"),
+     "^noise must be a NoiseParams, got None$"),
+    (lambda: orc.oracle_connect(PHI_PLUS, PHI_PLUS, None), "^noise must be a NoiseParams, got None$"),
+    (lambda: orc.oracle_purify(PHI_PLUS, PHI_PLUS, None, "bennett"),
+     "^noise must be a NoiseParams, got None$"),
+    (lambda: maps.connect_states(BELL["phi+"], PHI_PLUS, PERFECT),
+     r"^pair_ab must be a BellDiagonalState, got \(1\.0, 0\.0, 0\.0, 0\.0\)$"),
+    (lambda: maps.purify_with_aux(PHI_PLUS, BELL["phi+"], PERFECT, "deutsch"),
+     r"^aux must be a BellDiagonalState, got \(1\.0, 0\.0, 0\.0, 0\.0\)$"),
+    (lambda: orc.oracle_connect(PHI_PLUS, BELL["phi+"], PERFECT),
+     r"^pair_bc must be a BellDiagonalState, got \(1\.0, 0\.0, 0\.0, 0\.0\)$"),
+    (lambda: orc.oracle_purify(BELL["phi+"], PHI_PLUS, PERFECT, "deutsch"),
+     r"^kept must be a BellDiagonalState, got \(1\.0, 0\.0, 0\.0, 0\.0\)$"),
+], ids=["connect-states-noise", "purify-with-aux-noise", "oracle-connect-noise",
+        "oracle-purify-noise", "connect-states-pair", "purify-with-aux-pair",
+        "oracle-connect-pair", "oracle-purify-pair"])
+def test_state_entry_points_reject_wrong_types(call, message):
+    # each used to die with an AttributeError on .p2, .coeffs or a noise constant
     with pytest.raises(ValidationError, match=message):
         call()
 

@@ -1,12 +1,11 @@
 import itertools
-import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from qrepeater import oracle as orc
-from qrepeater.errors import NumericError, ValidationError
+from qrepeater.errors import DegeneratePostSelectionError, NumericError, ValidationError
 from qrepeater.states import BellDiagonalState, NoiseParams, WernerState
 
 PERFECT = NoiseParams()
@@ -122,16 +121,60 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_stack(rng, stack, n_qubits):
-    """Random density matrices of ``n_qubits`` in a stack of shape ``stack``."""
-    dim = 2 ** n_qubits
-    mats = [random_density_matrix(rng, n_qubits) for _ in np.ndindex(stack)]
-    return np.array(mats).reshape(stack + (dim, dim))
+def flat_pairs(rho, rows):
+    """A four-qubit matrix as (qubits ``rows``, their 4 x 4 flat) by (the other two, flat)."""
+    cols = tuple(q for q in range(4) if q not in rows)
+    axes = [rows[0], rows[1], 4 + rows[0], 4 + rows[1], cols[0], cols[1], 4 + cols[0], 4 + cols[1]]
+    return rho.reshape((2,) * 8).transpose(axes).reshape(16, 16)
 
 
-def random_unitaries(rng, stack, dim):
-    mats = [random_unitary(rng, dim) for _ in np.ndindex(stack)]
-    return np.array(mats).reshape(stack + (dim, dim))
+def from_flat_pairs(state, rows):
+    """The inverse of :func:`flat_pairs`: the matrix back in register order."""
+    cols = tuple(q for q in range(4) if q not in rows)
+    axes = [rows[0], rows[1], 4 + rows[0], 4 + rows[1], cols[0], cols[1], 4 + cols[0], 4 + cols[1]]
+    return state.reshape((2,) * 8).transpose(np.argsort(axes)).reshape(16, 16)
+
+
+def gate_noise(p):
+    """The two-qubit gate noise channel on a flat pair, as the oracle builds it."""
+    return p * orc._FLAT_IDENTITY + (1.0 - p) * orc._PAIR_MIXING
+
+
+def purification_state(kept, sacrificed, p):
+    """The oracle's state after purification's noisy CNOTs, rows (0, 2) and columns (1, 3) flat."""
+    pairs = np.array((kept, sacrificed)).reshape(32)
+    first, second = orc._PURIFY_GATHERS
+    channel = gate_noise(p)
+    return channel @ (pairs[first] * pairs[second]) @ channel.T
+
+
+#: Connection's Pauli correction on qubit 3 for readings (m1, m2), entry 2*m1 + m2.
+PAULIS = [orc.I2, orc.X, orc.Z, orc.Z @ orc.X]
+
+
+def corrected_sum(branches, p):
+    """The oracle's noisy corrections of four 4 x 4 branches of qubits (0, 3), summed."""
+    return (np.array((p, 1.0 - p)) @ (orc._CORRECTIONS @ branches.reshape(64))).reshape(4, 4)
+
+
+def readout_blocks(rho, targets):
+    """The diagonal blocks of ``rho`` on two target qubits, one per outcome, the rest kept."""
+    n = rho.shape[0].bit_length() - 1
+    rest = tuple(q for q in range(n) if q not in targets)
+    blocks = []
+    for outcome in itertools.product((0, 1), repeat=2):
+        proj = embed(np.diag([1.0 - outcome[0], outcome[0]]).astype(complex), n, targets[:1])
+        proj = proj @ embed(np.diag([1.0 - outcome[1], outcome[1]]).astype(complex), n,
+                            targets[1:])
+        blocks.append(dense_partial_trace(proj @ rho @ proj, rest))
+    return np.array(blocks)
+
+
+def oracle_readout(rho, targets, eta):
+    """The oracle's readout of two qubits of ``rho``: branches (rest kept) and probabilities."""
+    blocks = readout_blocks(rho, targets)
+    weights, probs = orc._readings(np.trace(blocks, axis1=1, axis2=2).real, eta)
+    return np.tensordot(weights, blocks, axes=1), probs
 
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -139,7 +182,7 @@ seeds = st.integers(0, 2 ** 32 - 1)
 # below the positivity limit sqrt(c_j c_k)
 bell_weights = st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4).map(
     lambda w: np.array(w) / sum(w))
-#: leading stack shapes of the primitives' inputs: one matrix, three, and a 2 x 3 stack
+#: leading stack shapes of bell_diagonal_to_dm's input: one vector, three, and a 2 x 3 stack
 stacks = st.sampled_from([(), (3,), (2, 3)])
 # a register of 2..4 qubits and an ordering of its qubits to draw targets from
 registers = st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), st.permutations(range(n))))
@@ -148,83 +191,72 @@ ALL_PAIRS = list(itertools.permutations(range(4), 2))
 
 
 class TestAgainstDenseReference:
-    """Every primitive on one matrix and on stacks, each slice against the dense reference."""
+    """Each of the oracle's gates, noise terms and readouts against the dense reference."""
 
-    @staticmethod
-    def check_gate(seed, register, p, stack, gate_each, size):
+    @given(seeds, gate_weights)
+    def test_one_qubit_gate(self, seed, p):
+        # connection's noisy Pauli corrections on qubit 3 of four branches, summed
         rng = np.random.default_rng(seed)
-        n, order = register
-        targets = tuple(order[:size])
-        rho = random_stack(rng, stack, n)
-        gates = random_unitaries(rng, stack if gate_each else (), 2 ** size)
-        got = orc.apply_noisy_gate(rho, gates, targets, p)
-        assert got.shape == rho.shape
-        for i in np.ndindex(stack):
-            gate = gates[i] if gate_each else gates
-            assert np.abs(got[i] - dense_noisy_gate(rho[i], gate, targets, p)).max() <= 1e-13
+        branches = np.array([rng.random() * random_density_matrix(rng, 2) for _ in range(4)])
+        want = sum(dense_noisy_gate(branch, pauli, (1,), p)
+                   for branch, pauli in zip(branches, PAULIS))
+        assert np.abs(corrected_sum(branches, p) - want).max() <= 1e-13
 
-    @given(seeds, registers, gate_weights, stacks, st.booleans())
-    def test_one_qubit_gate(self, seed, register, p, stack, gate_each):
-        self.check_gate(seed, register, p, stack, gate_each, 1)
-
-    @given(seeds, registers, gate_weights, stacks, st.booleans())
-    def test_two_qubit_gate(self, seed, register, p, stack, gate_each):
-        self.check_gate(seed, register, p, stack, gate_each, 2)
+    @given(seeds, gate_weights)
+    def test_two_qubit_gate(self, seed, p):
+        # purification's noisy CNOTs (0 -> 2) and (1 -> 3) on any two pair matrices
+        rng = np.random.default_rng(seed)
+        kept, sacrificed = random_density_matrix(rng, 2), random_density_matrix(rng, 2)
+        want = dense_noisy_gate(np.kron(kept, sacrificed), orc.CNOT, (0, 2), p)
+        want = dense_noisy_gate(want, orc.CNOT, (1, 3), p)
+        got = from_flat_pairs(purification_state(kept, sacrificed, p), (0, 2))
+        assert np.abs(got - want).max() <= 1e-13
 
     @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda pair: f"{pair[0]}-{pair[1]}")
     def test_two_qubit_gate_on_every_ordered_pair(self, pair):
-        # reversed and non-adjacent pairs such as (2, 0) and (3, 1) included
+        # with a pair's qubits flat on one side, its gate is kron(G, conj G) and its
+        # noise the oracle's channel, on that side; reversed and non-adjacent pairs such
+        # as (2, 0) and (3, 1) included
         rng = np.random.default_rng(ALL_PAIRS.index(pair))
         rho, gate = random_density_matrix(rng, 4), random_unitary(rng, 4)
-        stack, gates = random_stack(rng, (3,), 4), random_unitaries(rng, (3,), 4)
-        for p in (1.0, 0.9):
-            got = orc.apply_noisy_gate(rho, gate, pair, p)
-            assert np.abs(got - dense_noisy_gate(rho, gate, pair, p)).max() <= 1e-13
-            got = orc.apply_noisy_gate(stack, gates, pair, p)
-            for i in range(3):
-                want = dense_noisy_gate(stack[i], gates[i], pair, p)
-                assert np.abs(got[i] - want).max() <= 1e-13
+        for p in (1.0, 0.9, 0.0):
+            state = gate_noise(p) @ np.kron(gate, gate.conj()) @ flat_pairs(rho, pair)
+            want = dense_noisy_gate(rho, gate, pair, p)
+            assert np.abs(from_flat_pairs(state, pair) - want).max() <= 1e-13
 
-    @given(seeds, registers, st.one_of(st.just(0.5), st.just(1.0), st.floats(0.5, 1.0)), stacks)
-    def test_readout(self, seed, register, eta, stack):
-        rng = np.random.default_rng(seed)
+    @given(seeds, registers, st.one_of(st.just(0.5), st.just(1.0), st.floats(0.5, 1.0)))
+    def test_readout(self, seed, register, eta):
+        # the probabilities of the first reading are those of one dense readout
         n, order = register
-        rho = random_stack(rng, stack, n)
-        branches, probs = orc._readout(rho, (order[0],), eta)
-        assert branches.shape == stack + (2,) + rho.shape[-2:] and probs.shape == stack + (2,)
-        for i in np.ndindex(stack):
-            want = dense_noisy_measure(rho[i], order[0], eta)
-            kept = [reading for reading, _, _ in want]
-            for reading in {0, 1} - set(kept):  # dropped: exactly zero
-                assert probs[i][reading] == 0.0 and not branches[i][reading].any()
-            for reading, want_prob, want_post in want:
-                assert abs(probs[i][reading] - want_prob) <= 1e-13
-                assert np.abs(branches[i][reading] - want_prob * want_post).max() <= 1e-13
+        rho = random_density_matrix(np.random.default_rng(seed), n)
+        blocks = readout_blocks(rho, tuple(order[:2]))
+        _, probs = orc._readings(np.trace(blocks, axis1=1, axis2=2).real, eta)
+        first = probs.reshape(2, 2).sum(axis=1)
+        for reading, want_prob, _ in dense_noisy_measure(rho, order[0], eta):
+            assert abs(first[reading] - want_prob) <= 1e-13
 
     @staticmethod
     def check_two_qubit_readout(rho, targets, eta):
-        """Both readings at once against two nested dense readouts, slice by slice."""
-        stack = rho.shape[:-2]
-        branches, probs = orc._readout(rho, targets, eta)
-        assert branches.shape == stack + (2, 2) + rho.shape[-2:]
-        assert probs.shape == stack + (2, 2)
+        """Both readings at once against two nested dense readouts, rest kept."""
+        n = rho.shape[0].bit_length() - 1
+        rest = tuple(q for q in range(n) if q not in targets)
+        branches, probs = oracle_readout(rho, targets, eta)
+        want = dense_two_readouts(rho, targets, eta)
         omitted = 0
-        for i in np.ndindex(stack):
-            want = dense_two_readouts(rho[i], targets, eta)
-            for reading in itertools.product((0, 1), repeat=2):
-                if reading not in want:  # dropped: exactly zero
-                    omitted += 1
-                    assert probs[i][reading] == 0.0 and not branches[i][reading].any()
-                    continue
-                want_prob, want_branch = want[reading]
-                assert abs(probs[i][reading] - want_prob) <= 1e-13
-                assert np.abs(branches[i][reading] - want_branch).max() <= 1e-13
+        for index, reading in enumerate(itertools.product((0, 1), repeat=2)):
+            if reading not in want:  # dropped: exactly zero
+                omitted += 1
+                assert probs[index] == 0.0 and not branches[index].any()
+                continue
+            want_prob, want_branch = want[reading]
+            assert abs(probs[index] - want_prob) <= 1e-13
+            assert np.abs(branches[index] - dense_partial_trace(want_branch, rest)).max() <= 1e-13
         return omitted
 
-    @given(seeds, registers, st.one_of(st.just(0.5), st.just(1.0), st.floats(0.5, 1.0)), stacks)
-    def test_two_qubit_readout(self, seed, register, eta, stack):
+    @given(seeds, registers, st.one_of(st.just(0.5), st.just(1.0), st.floats(0.5, 1.0)))
+    def test_two_qubit_readout(self, seed, register, eta):
         n, order = register
-        rho = random_stack(np.random.default_rng(seed), stack, n)
+        rho = random_density_matrix(np.random.default_rng(seed), n)
         self.check_two_qubit_readout(rho, tuple(order[:2]), eta)
 
     def test_two_qubit_readout_drops_what_the_reference_omits(self):
@@ -235,22 +267,22 @@ class TestAgainstDenseReference:
         first = np.kron(ground, random_density_matrix(rng, 2))
         second = np.kron(random_density_matrix(rng, 1), np.kron(ground, ground))
         assert self.check_two_qubit_readout(first, (0, 2), 1.0) == 2
-        assert self.check_two_qubit_readout(np.array([second, second]), (1, 2), 1.0) == 6
+        assert self.check_two_qubit_readout(second, (1, 2), 1.0) == 3
         assert self.check_two_qubit_readout(first, (0, 2), 0.9) == 0
         # a rounding-size negative probability: reading (1, 0) is above 1e-15 and still
         # dropped, as its first reading's probability 5e-16 is below
         odd = np.diag([0.5, 0.5 - 5e-16, 2e-15, -1.5e-15])
         assert self.check_two_qubit_readout(odd, (0, 1), 1.0) == 2
 
-    @given(seeds, registers, st.integers(0, 4), stacks)
-    def test_partial_trace(self, seed, register, size, stack):
+    @given(seeds, registers, st.one_of(st.just(0.5), st.just(1.0), st.floats(0.5, 1.0)))
+    def test_partial_trace(self, seed, register, eta):
+        # reading two qubits and summing every reading's branch traces them out
         n, order = register
-        rho = random_stack(np.random.default_rng(seed), stack, n)
-        keep = order[:size]
-        got = orc.partial_trace(rho, keep)
-        assert got.shape == stack + (2 ** len(keep),) * 2
-        for i in np.ndindex(stack):
-            assert np.abs(got[i] - dense_partial_trace(rho[i], keep)).max() <= 1e-13
+        rho = random_density_matrix(np.random.default_rng(seed), n)
+        targets = tuple(order[:2])
+        branches, _ = oracle_readout(rho, targets, eta)
+        want = dense_partial_trace(rho, tuple(q for q in range(n) if q not in targets))
+        assert np.abs(branches.sum(axis=0) - want).max() <= 1e-13
 
     @given(st.lists(bell_weights, min_size=6, max_size=6), stacks)
     def test_bell_diagonal_to_dm(self, weights, stack):
@@ -278,116 +310,111 @@ class TestNoiseParams:
 
 
 class TestOneQubitNoise:
+    """Connection's corrections on qubit 3 and their noise."""
+
     def test_p1_one_is_ideal(self):
         rng = np.random.default_rng(3)
-        rho = random_density_matrix(rng, 2)
-        u = embed(orc.X, 2, (1,))
-        ideal = u @ rho @ u.conj().T
-        out = orc.apply_noisy_gate(rho, orc.X, (1,), 1.0)
-        assert np.allclose(out, ideal, atol=1e-14)
+        branches = np.array([random_density_matrix(rng, 2) for _ in range(4)])
+        ideal = sum(np.kron(orc.I2, pauli) @ branch @ np.kron(orc.I2, pauli).T
+                    for branch, pauli in zip(branches, PAULIS))
+        assert np.allclose(corrected_sum(branches, 1.0), ideal, atol=1e-14)
 
     def test_p1_zero_fully_mixes_target(self):
         rng = np.random.default_rng(4)
-        rho = random_density_matrix(rng, 2)
-        out = orc.apply_noisy_gate(rho, orc.HADAMARD, (0,), 0.0)
-        marginal = orc.partial_trace(out, (0,))
-        assert np.allclose(marginal, np.eye(2) / 2, atol=1e-12)
-        assert np.allclose(orc.partial_trace(out, (1,)),
-                           orc.partial_trace(rho, (1,)), atol=1e-12)
+        branches = np.array([random_density_matrix(rng, 2) / 4 for _ in range(4)])
+        out = corrected_sum(branches, 0.0)
+        assert np.allclose(dense_partial_trace(out, (1,)), np.eye(2) / 2, atol=1e-12)
+        assert np.allclose(dense_partial_trace(out, (0,)),
+                           dense_partial_trace(branches.sum(axis=0), (0,)), atol=1e-12)
 
     def test_identity_gate_on_ground_state(self):
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        out = orc.apply_noisy_gate(rho, orc.I2, (0,), 0.995)
-        assert np.allclose(np.diag(out).real, [0.9975, 0.0025], atol=1e-15)
-
-    def test_index_out_of_range(self):
-        rho = np.eye(4, dtype=complex) / 4
-        with pytest.raises(ValidationError):
-            orc.apply_noisy_gate(rho, orc.X, (5,), 1.0)
+        # reading (0, 0) is corrected by the identity
+        branches = np.zeros((4, 4, 4))
+        branches[0, 0, 0] = 1.0
+        out = corrected_sum(branches, 0.995)
+        assert np.allclose(np.diag(out), [0.9975, 0.0025, 0.0, 0.0], atol=1e-15)
 
 
 class TestTwoQubitNoise:
+    """Purification's CNOTs on the flat pairs of both nodes, and their noise."""
+
     def test_p2_one_is_ideal_cnot(self):
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[2, 2] = 1.0  # |10>
-        out = orc.apply_noisy_gate(rho, orc.CNOT, (0, 1), 1.0)
-        assert out[3, 3].real == pytest.approx(1.0)
+        ket_10 = np.diag([0.0, 0.0, 1.0, 0.0])
+        ket_00 = np.diag([1.0, 0.0, 0.0, 0.0])
+        # kept |10>, sacrificed |00>: the CNOTs give |1010> on qubits 0..3, that is
+        # |11> on node A's qubits (0, 2) and |00> on node B's (1, 3)
+        out = purification_state(ket_10, ket_00, 1.0)
+        assert out[15, 0] == pytest.approx(1.0) and np.abs(out).sum() == pytest.approx(1.0)
 
     def test_p2_zero_fully_mixes_pair(self):
         rng = np.random.default_rng(5)
-        rho = random_density_matrix(rng, 3)
-        out = orc.apply_noisy_gate(rho, orc.CNOT, (0, 2), 0.0)
-        assert np.allclose(orc.partial_trace(out, (0, 2)), np.eye(4) / 4, atol=1e-12)
+        rho = random_density_matrix(rng, 4)
+        out = from_flat_pairs(gate_noise(0.0) @ flat_pairs(rho, (0, 2)), (0, 2))
+        assert np.allclose(dense_partial_trace(out, (0, 2)), np.eye(4) / 4, atol=1e-12)
+        assert np.allclose(dense_partial_trace(out, (1, 3)),
+                           dense_partial_trace(rho, (1, 3)), atol=1e-12)
 
     def test_noisy_cnot_on_bell_times_zero(self):
-        # frozen from a direct evaluation of the noise model:
-        # weight = 0.99 * 1/2 + 0.01 * 1/4
+        # frozen from a direct evaluation of the noise model: the CNOTs copy the kept
+        # phi+ onto |00>, whose trace leaves (|00><00| + |11><11|)/2, phi+ weight 1/2;
+        # every noise term leaves I/4, weight 1/4: 0.99**2 / 2 + (1 - 0.99**2) / 4
         bell = orc.bell_diagonal_to_dm(BellDiagonalState((1.0, 0.0, 0.0, 0.0)))
-        ground = np.diag([1.0, 0.0]).astype(complex)
-        rho = np.kron(bell, ground)
-        out = orc.apply_noisy_gate(rho, orc.CNOT, (1, 2), 0.99)
-        weight = orc.bell_coefficients(orc.partial_trace(out, (0, 1)))[0]
-        assert weight == pytest.approx(0.4975, abs=1e-12)
-
-    def test_duplicate_indices_rejected(self):
-        rho = np.eye(4, dtype=complex) / 4
-        with pytest.raises(ValidationError):
-            orc.apply_noisy_gate(rho, orc.CNOT, (1, 1), 1.0)
-
-    def test_gate_of_wrong_size_rejected(self):
-        rho = np.eye(8, dtype=complex) / 8
-        with pytest.raises(ValidationError, match="does not act on 2 qubits"):
-            orc.apply_noisy_gate(rho, orc.X, (0, 2), 1.0)
+        out = from_flat_pairs(purification_state(bell, np.diag([1.0, 0.0, 0.0, 0.0]), 0.99),
+                              (0, 2))
+        weight = orc.bell_coefficients(dense_partial_trace(out, (0, 1)))[0]
+        assert weight == pytest.approx(0.495025, abs=1e-12)
 
 
 class TestMeasurement:
+    """The readings of two qubits, from their outcomes' probabilities."""
+
     def test_perfect_readout_of_ground_state(self):
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        branches, probs = orc._readout(rho, (0,), 1.0)
-        # reading 1 has probability 0, so its branch is dropped
-        assert probs[1] == 0.0 and not branches[1].any()
+        weights, probs = orc._readings(np.array([1.0, 0.0, 0.0, 0.0]), 1.0)
+        # every reading but (0, 0) has probability 0, so its branch is dropped
+        assert (probs[1:] == 0.0).all() and not weights[1:].any()
         assert probs[0] == pytest.approx(1.0)
-        assert np.allclose(branches[0], rho)
+        assert np.array_equal(weights[0], [1.0, 0.0, 0.0, 0.0])
 
     def test_misread_probability(self):
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        _, probs = orc._readout(rho, (0,), 0.995)
-        assert probs[1] == pytest.approx(0.005, abs=1e-15)
+        _, probs = orc._readings(np.array([1.0, 0.0, 0.0, 0.0]), 0.995)
+        # the first qubit read as 1, whatever the second reads
+        assert probs[2] + probs[3] == pytest.approx(0.005, abs=1e-15)
 
     def test_maximally_mixed_is_uniform(self):
-        rho = np.eye(2, dtype=complex) / 2
         for eta in (1.0, 0.9, 0.75):
-            for prob in orc._readout(rho, (0,), eta)[1]:
-                assert prob == pytest.approx(0.5)
+            for prob in orc._readings(np.full(4, 0.25), eta)[1]:
+                assert prob == pytest.approx(0.25)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(6)
-        rho = random_density_matrix(rng, 2)
-        total = orc._readout(rho, (1,), 0.97)[1].sum()
-        assert total == pytest.approx(1.0, abs=1e-12)
+        outcomes = rng.random(4)
+        outcomes /= outcomes.sum()
+        for p in (1.0, 0.8):
+            assert orc._readings(outcomes, 0.97, p)[1].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestChannelStructure:
     def test_one_qubit_choi_positive(self):
-        for p in (1.0, 0.97, 0.5, 0.0):
-            choi = choi_matrix(
-                lambda rho, p=p: orc.apply_noisy_gate(rho, orc.X, (0,), p), 1
-            )
-            assert np.linalg.eigvalsh(choi).min() > -1e-10
+        # a correction on qubit 3 with its noise, as a channel on one branch
+        for m in range(4):
+            for p in (1.0, 0.97, 0.5, 0.0):
+                def channel(rho, m=m, p=p):
+                    branches = np.zeros((4, 4, 4), dtype=complex)
+                    branches[m] = rho
+                    return corrected_sum(branches, p)
+                assert np.linalg.eigvalsh(choi_matrix(channel, 2)).min() > -1e-10
 
     def test_two_qubit_choi_positive(self):
         for p in (1.0, 0.97, 0.3):
-            choi = choi_matrix(
-                lambda rho, p=p: orc.apply_noisy_gate(rho, orc.CNOT, (0, 1), p), 2
-            )
+            superop = gate_noise(p) @ np.kron(orc.CNOT, orc.CNOT)
+            choi = choi_matrix(lambda rho: (superop @ rho.reshape(16)).reshape(4, 4), 2)
             assert np.linalg.eigvalsh(choi).min() > -1e-10
 
     def test_operations_preserve_density_matrix(self):
         rng = np.random.default_rng(7)
-        rho = random_density_matrix(rng, 3)
-        out = orc.apply_noisy_gate(rho, orc.CNOT, (0, 1), 0.97)
-        out = orc.apply_noisy_gate(out, orc.HADAMARD, (2,), 0.98)
-        assert_density_matrix(out)
+        kept, sacrificed = random_density_matrix(rng, 2), random_density_matrix(rng, 2)
+        assert_density_matrix(from_flat_pairs(purification_state(kept, sacrificed, 0.97),
+                                              (0, 2)))
 
 
 class TestConnect:
@@ -499,8 +526,10 @@ class TestBellDiagonalCheck:
 # kron-built primitives above, in the literal gate order (the perfect Hadamard
 # after the noisy CNOT, four one-qubit rotations, each correction on the full
 # register before the trace).  The oracle joins the Hadamard to the CNOT,
-# rotates both pairs before the product and traces out the middle node before
-# the corrections; all three are exact, so the two must agree.
+# applies that gate's noise on the read blocks, rotates both pairs before the
+# product, folds purification's CNOTs into the product's indices, traces out
+# the middle node before the corrections and adds their noise once, to the
+# sum; all of these are exact, so the two must agree.
 
 reliabilities = st.one_of(st.just(1.0), st.floats(0.0, 1.0))
 readout_qualities = st.one_of(st.just(1.0), st.just(0.5), st.floats(0.5, 1.0))
@@ -565,6 +594,35 @@ class TestCircuitsAgainstDenseReference:
         assert np.abs(np.array(out.coeffs) - bell_diagonal(want)).max() <= 1e-13
 
 
+    @pytest.mark.parametrize("protocol", ["bennett", "deutsch"])
+    def test_dropped_branches_on_pure_bell_pairs(self, monkeypatch, protocol):
+        # with perfect readout, pure Bell inputs leave readings of probability 0 (a
+        # bit flip on one side always flips the readings' agreement), and every
+        # dropped branch must agree with the nested dense readouts, which omit them
+        dropped = []
+        readings = orc._readings
+
+        def spy(outcomes, eta, p=1.0):
+            weights, probs = readings(outcomes, eta, p)
+            dropped.append(int((probs == 0.0).sum()))
+            return weights, probs
+
+        monkeypatch.setattr(orc, "_readings", spy)
+        for kept, sacrificed in itertools.product(np.eye(4), repeat=2):
+            states = BellDiagonalState(tuple(kept)), BellDiagonalState(tuple(sacrificed))
+            matrices = [orc.bell_diagonal_to_dm(state) for state in states]
+            with np.errstate(divide="ignore", invalid="ignore"):  # p_succ 0 divides by 0
+                want_p, want = dense_purify(*matrices, PERFECT, protocol)
+            if want_p < 1e-15:
+                with pytest.raises(DegeneratePostSelectionError):
+                    orc.oracle_purify(*states, PERFECT, protocol)
+                continue
+            p_succ, out = orc.oracle_purify(*states, PERFECT, protocol)
+            assert abs(p_succ - want_p) <= 1e-13
+            assert np.abs(np.array(out.coeffs) - bell_diagonal(want)).max() <= 1e-13
+        assert len(dropped) == 16 and all(count == 2 for count in dropped)
+
+
 class TestRealArithmetic:
     """Every gate of the circuits is real but the rotation-based step's rotation."""
 
@@ -572,68 +630,23 @@ class TestRealArithmetic:
     @pytest.mark.parametrize("noise", [PERFECT, NoiseParams(0.9, 0.8, 0.5)],
                              ids=["perfect", "noisy"])
     def test_only_the_rotation_gets_a_complex_array(self, monkeypatch, circuit, noise):
-        calls = []
-        apply_noisy_gate = orc.apply_noisy_gate
+        complex_constants = {name for name, value in vars(orc).items()
+                             if isinstance(value, np.ndarray) and np.iscomplexobj(value)}
+        assert complex_constants == {"ROT_X_POS", "ROT_X_NEG", "_PAIR_ROTATION",
+                                     "_PAIR_ROTATION_H"}
+        # the state each circuit ends in is real: the rotation-based step leaves complex
+        # arithmetic after its rotations, and nothing else enters it
+        final = []
+        bell_coefficients = orc.bell_coefficients
 
-        def spy(rho, gate, targets, p):
-            calls.append((gate is orc._PAIR_ROTATION, np.iscomplexobj(rho),
-                          np.iscomplexobj(gate)))
-            return apply_noisy_gate(rho, gate, targets, p)
+        def spy(rho):
+            final.append(np.iscomplexobj(rho))
+            return bell_coefficients(rho)
 
-        monkeypatch.setattr(orc, "apply_noisy_gate", spy)
+        monkeypatch.setattr(orc, "bell_coefficients", spy)
         first, second = BellDiagonalState(tuple(SKEWED)), BellDiagonalState(tuple(SKEWED[::-1]))
         if circuit == "connect":
             orc.oracle_connect(first, second, noise, twirl_output=False)
         else:
             orc.oracle_purify(first, second, noise, circuit)
-        rotations = [call for call in calls if call[0]]
-        assert len(rotations) == (circuit == "deutsch") and len(calls) == 2 + len(rotations)
-        for rotation, complex_state, complex_gate in calls:
-            assert not complex_state and complex_gate == rotation
-
-
-class TestCachedPlans:
-    def test_a_cached_plan_keeps_every_check(self):
-        rng = np.random.default_rng(12)
-        # one matrix and a stack of three share the plans and meet the same checks
-        for rho in (random_density_matrix(rng, 3), random_stack(rng, (3,), 3)):
-            # cache a valid plan and readout masks on this register first
-            orc.apply_noisy_gate(rho, orc.CNOT, (0, 2), 0.9)
-            orc.partial_trace(rho, (0, 2))
-            orc._readout(rho, (2,), 0.9)
-            calls = {
-                "gate": lambda targets: orc.apply_noisy_gate(rho, orc.CNOT, targets, 0.9),
-                "trace": lambda targets: orc.partial_trace(rho, targets),
-            }
-            for call in calls.values():
-                with pytest.raises(ValidationError, match="duplicate target qubits"):
-                    call((2, 2))
-                with pytest.raises(ValidationError,
-                                   match="qubit index 3 out of range for 3 qubits"):
-                    call((0, 3))
-            with pytest.raises(ValidationError, match="qubit index 3 out of range for 3 qubits"):
-                orc._readout(rho, (3,), 0.9)
-            with pytest.raises(ValidationError, match="qubit index -1 out of range"):
-                orc._readout(rho, (-1,), 0.9)
-            with pytest.raises(ValidationError, match="does not act on 2 qubits"):
-                orc.apply_noisy_gate(rho, orc.X, (0, 2), 0.9)
-            with pytest.raises(ValidationError, match="does not act on 1 qubits"):
-                orc.apply_noisy_gate(rho, orc.CNOT, (2,), 0.9)
-            # a gate stack must have the states' stack shape, one gate per state
-            with pytest.raises(ValidationError, match="does not match states"):
-                orc.apply_noisy_gate(rho, np.array([orc.CNOT] * 2), (0, 2), 0.9)
-
-    @pytest.mark.parametrize("shape", [(3, 3, 3), (2, 8, 4), (2, 2, 6, 6), (0,), ()],
-                             ids=["3x3", "8x4", "6x6", "1-d", "0-d"])
-    def test_a_stack_of_non_square_or_non_power_of_two_matrices_is_rejected(self, shape):
-        rho = np.zeros(shape, dtype=complex)
-        message = rf"^density matrix shape {re.escape(str(shape))} is not a power of two$"
-        for call in (lambda: orc.apply_noisy_gate(rho, orc.X, (0,), 0.9),
-                     lambda: orc.partial_trace(rho, (0,)),
-                     lambda: orc._readout(rho, (0,), 0.9)):
-            with pytest.raises(ValidationError, match=message):
-                call()
-
-    def test_caches_are_bounded(self):
-        assert orc._plan.cache_info().maxsize is not None
-        assert orc._readout_masks.cache_info().maxsize is not None
+        assert final == [False]
