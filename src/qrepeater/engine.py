@@ -214,7 +214,7 @@ def _run_levels(config: ProtocolConfig, protocol: str):
         if depolarize:
             connected = werner_coeffs(connect_L(f_in, length, noise))
         else:
-            connected = chain_coeffs([state] * length, noise)
+            connected = chain_coeffs(state, length, noise)
         # purify back up to f_work; overshoot past it is allowed and recorded
         state, fidelity, p_succ = connected, connected[0], []
         try:

@@ -11,9 +11,9 @@ post-selected (coinciding-readings) branches, including the two-qubit gate
 reliability factor.  With perfect gates they reduce to the familiar
 normalization denominators of the noiseless maps.
 
-Each map is one kernel on coefficient 4-tuples (``connect_coeffs``, the
-chain fold ``chain_coeffs``, ``purify_coeffs``) that the state-object and
-fidelity maps wrap; every output they use passes ``checked_coeffs``.
+Each map is one kernel on coefficient 4-tuples (``connect_coeffs``, its closed
+form for a chain of equal pairs ``chain_coeffs``, ``purify_coeffs``) that the
+state-object and fidelity maps wrap; every output they use passes ``checked_coeffs``.
 Iterating purification up to a working fidelity is the level loop of
 :func:`qrepeater.engine.simulate`.
 """
@@ -54,12 +54,10 @@ class FixedPoints(namedtuple("FixedPoints", "f_min f_max")):
 
 
 def connect_L(fidelity: float, length: int, noise: NoiseParams) -> float:
-    """Fidelity after fusing a chain of ``length`` equal Werner pairs.
+    """Fidelity after fusing a chain of ``length`` equal Werner pairs, twirled after every link.
 
-    Each of the ``length - 1`` middle-node measurements contributes one
-    factor of gate and readout noise; the result decreases exponentially in
-    ``length`` unless pairs and operations are perfect.  ``length == 1``
-    returns the input unchanged.
+    The twirl replaces the link factors of :func:`chain_coeffs` by their mean; for ``length >= 3``
+    and ``eta < 1`` that is below the untwirled chain (power means).  ``length == 1`` is the input.
     """
     require_int("chain length", length)
     if length < 1:
@@ -76,40 +74,43 @@ def connect_L(fidelity: float, length: int, noise: NoiseParams) -> float:
         raise ValidationError("chain length L exceeds float range") from None
 
 
-def _convolve(v: Sequence[float], w: Sequence[float]) -> list[float]:
-    """Group convolution of Bell coefficient vectors: ``out[k] = sum_i v[i] * w[i ^ k]``."""
+def _characters(v: Sequence[float]) -> tuple[float, float, float]:
+    """The characters ``s = 1, 2, 3`` of a Bell vector: ``sum_i (-1)**popcount(s & i) * v[i]``."""
     v0, v1, v2, v3 = v
-    w0, w1, w2, w3 = w
-    return [v0 * w0 + v1 * w1 + v2 * w2 + v3 * w3,
-            v0 * w1 + v1 * w0 + v2 * w3 + v3 * w2,
-            v0 * w2 + v1 * w3 + v2 * w0 + v3 * w1,
-            v0 * w3 + v1 * w2 + v2 * w1 + v3 * w0]
+    return v0 - v1 + v2 - v3, v0 + v1 - v2 - v3, v0 - v1 - v2 + v3
+
+
+def _from_characters(h1: float, h2: float, h3: float) -> tuple[float, ...]:
+    """The Bell vector with characters ``(1, h1, h2, h3)``: the inverse of :func:`_characters`."""
+    return ((1.0 + h1 + h2 + h3) / 4.0, (1.0 - h1 + h2 - h3) / 4.0,
+            (1.0 + h1 - h2 - h3) / 4.0, (1.0 - h1 - h2 + h3) / 4.0)
 
 
 def connect_coeffs(ab: Sequence[float], bc: Sequence[float],
                    noise: NoiseParams) -> tuple[float, ...]:
     """Unchecked Bell coefficients after one noisy middle-node fusion of two pairs.
 
-    Readout errors shift the reading-conditioned correction by a Pauli flip,
-    which acts as a convolution kernel; gate and correction failures mix in
-    the fully depolarized pair.  Restricted to Werner inputs the fidelity of
-    the result equals ``connect_L(F, 2, noise)`` exactly, but the output is
-    in general not Werner, and no depolarization is applied here.
+    Fusion, readout flips and gate failures convolve on the Bell group Z2 x Z2; on its characters
+    the output is ``g(s) * a(s) * b(s)``, ``g`` from ``noise.connect_constants``.  On Werner
+    inputs its fidelity is ``connect_L(F, 2, noise)``, though the output is in general not Werner.
     """
-    kernel, ideal_weight, mixed = noise.connect_constants
-    c0, c1, c2, c3 = _convolve(_convolve(ab, bc), kernel)
-    return (ideal_weight * c0 + mixed, ideal_weight * c1 + mixed,
-            ideal_weight * c2 + mixed, ideal_weight * c3 + mixed)
+    g1, g3 = noise.connect_constants
+    a1, a2, a3 = _characters(ab)
+    b1, b2, b3 = _characters(bc)
+    return _from_characters(g1 * a1 * b1, g1 * a2 * b2, g3 * a3 * b3)
 
 
-def chain_coeffs(pairs: Sequence[Sequence[float]], noise: NoiseParams) -> tuple[float, ...]:
-    """Checked coefficients of a chain fused left to right, one link at a time."""
-    if not pairs:
-        raise ValidationError("cannot connect an empty chain")
-    state = pairs[0]
-    for nxt in pairs[1:]:
-        state = checked_coeffs(connect_coeffs(state, nxt, noise))
-    return state
+def chain_coeffs(pair: Sequence[float], length: int, noise: NoiseParams) -> tuple[float, ...]:
+    """Checked coefficients of ``length >= 1`` equal pairs fused at every node, in one step.
+
+    Characters ``(g(s) * v(s)) ** (length - 1) * v(s)``, as in :func:`connect_coeffs` (bit for bit
+    at two pairs); the exponent is a float, exact up to ``length = 2**53``, as in :func:`connect_L`.
+    """
+    g1, g3 = noise.connect_constants
+    v1, v2, v3 = _characters(pair)
+    n = length - 1
+    return checked_coeffs(_from_characters((g1 * v1) ** n * v1, (g1 * v2) ** n * v2,
+                                           (g3 * v3) ** n * v3))
 
 
 def connect_states(pair_ab: BellDiagonalState, pair_bc: BellDiagonalState,

@@ -179,12 +179,10 @@ class NoiseParams:
         return alpha, beta, gates_ok, (1.0 - gates_ok) / 8.0
 
     @cached_property
-    def connect_constants(self) -> tuple[tuple[float, ...], float, float]:
-        """``(kernel, ideal_weight, mixed)`` of :func:`qrepeater.maps.connect_coeffs`."""
-        eta = self.eta
-        kernel = (eta * eta, eta * (1.0 - eta), eta * (1.0 - eta), (1.0 - eta) ** 2)
-        ideal_weight = self.p1 * self.p2
-        return kernel, ideal_weight, (1.0 - ideal_weight) / 4.0
+    def connect_constants(self) -> tuple[float, float]:
+        """The link factors ``p1 p2 (2 eta - 1) ** k``, k = 1, 2, of ``maps.connect_coeffs``."""
+        link = self.p1 * self.p2 * (2.0 * self.eta - 1.0)
+        return link, link * (2.0 * self.eta - 1.0)
 
     @classmethod
     def uniform(cls, q: float) -> "NoiseParams":

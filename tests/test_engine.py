@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qrepeater
-from qrepeater import engine, maps
+from qrepeater import cli, engine, maps
 from qrepeater.engine import (
     ProtocolConfig,
     TimingModel,
@@ -247,7 +247,7 @@ def _stepped_level(config, protocol):
         connected = WernerState(maps.connect_L(pair.fidelity, config.length, noise))
         connected = connected.to_bell_diagonal()
     else:
-        connected = BellDiagonalState(maps.chain_coeffs([pair.coeffs] * config.length, noise))
+        connected = BellDiagonalState(maps.chain_coeffs(pair.coeffs, config.length, noise))
     state, p_succ = connected, []
     while state.fidelity < config.f_work:
         outcome, purified = maps.purify_with_aux(state, connected if pumped else state,
@@ -292,10 +292,32 @@ class TestLoopMatchesPublicMaps:
 
     @pytest.mark.parametrize("scheme", "BC")
     def test_connect_kernel_output_is_checked(self, monkeypatch, scheme):
-        monkeypatch.setattr(maps, "connect_coeffs",
-                            lambda ab, bc, noise: (0.5, 0.5, 0.5, 0.5))
+        # the chain's inverse character transform is its last step before the check
+        monkeypatch.setattr(maps, "_from_characters", lambda h1, h2, h3: (0.5, 0.5, 0.5, 0.5))
         with pytest.raises(ValidationError, match="must sum to 1"):
             simulate(make_config(scheme=scheme))
+
+
+class TestUnboundedChain:
+    """A chain of any length costs one closed form: no loop and no list over its links."""
+
+    @pytest.mark.parametrize("scheme, cause", [
+        ("B", "fidelity 0.250000 is at or below the purification threshold"),
+        ("C", "pumping with the re-created pair stalls at fidelity 0.250000, "
+              "below the working fidelity 0.96"),
+    ], ids=["B", "C"])
+    def test_chain_of_a_trillion_pairs_is_fully_mixed(self, capsys, scheme, cause):
+        # the chain used to be a list of L states, folded link by link
+        n = str(10 ** 12)
+        code = cli.main(["repeater", "--scheme", scheme, "--N", n, "--L", n])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (3, "", f"infeasible: level 1: {cause}\n")
+
+    def test_chain_at_the_largest_float_length_is_checked(self):
+        length = int(sys.float_info.max)
+        assert maps.chain_coeffs((0.96, 0.02, 0.01, 0.01), length, NOISE) == (0.25,) * 4
+        perfect = maps.chain_coeffs((1.0, 0.0, 0.0, 0.0), length, NoiseParams())
+        assert perfect == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_optimization_and_fixed_points_build_no_state_objects(monkeypatch):

@@ -15,7 +15,8 @@ from qrepeater.errors import (
     ValidationError,
     WorkingFidelityUnreachableError,
 )
-from qrepeater.states import BellDiagonalState, NoiseParams, WernerState
+from qrepeater.states import (BellDiagonalState, NoiseParams, WernerState, checked_coeffs,
+                              werner_coeffs)
 
 PERFECT = NoiseParams()
 
@@ -266,7 +267,6 @@ def test_vanishing_post_selection_agrees_with_oracle(protocol, kept, aux, degene
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: maps.chain_coeffs([], PERFECT), ValidationError, "^cannot connect an empty chain$"),
     (lambda: maps.purify_coeffs(BELL["phi+"], BELL["phi+"], PERFECT, "rotation"),
      ValidationError, "^unknown purification protocol 'rotation'$"),
     # 9 sign changes of map(F) - F on the scan grid
@@ -277,7 +277,7 @@ def test_vanishing_post_selection_agrees_with_oracle(protocol, kept, aux, degene
     # a (2, 1) array would broadcast against the Bell basis without the check
     (lambda: orc.bell_diagonal_to_dm(np.ones((2, 1))),
      ValidationError, r"^expected Bell coefficient vectors, got shape \(2, 1\)$"),
-], ids=["empty-chain", "unknown-protocol", "odd-map", "oracle-not-4x4",
+], ids=["unknown-protocol", "odd-map", "oracle-not-4x4",
         "oracle-not-bell-vectors"])
 def test_kernels_reject_invalid_input(call, error, message):
     with pytest.raises(error, match=message):
@@ -478,14 +478,28 @@ def _purify_inline(kept, meas, noise, protocol):
     return p_succ, (u_a / p_succ, u_b / p_succ, u_c / p_succ, u_d / p_succ)
 
 
+def _convolve(v, w):
+    """Group convolution of Bell coefficient vectors: ``out[k] = sum_i v[i] * w[i ^ k]``."""
+    v0, v1, v2, v3 = v
+    w0, w1, w2, w3 = w
+    return [v0 * w0 + v1 * w1 + v2 * w2 + v3 * w3,
+            v0 * w1 + v1 * w0 + v2 * w3 + v3 * w2,
+            v0 * w2 + v1 * w3 + v2 * w0 + v3 * w1,
+            v0 * w3 + v1 * w2 + v2 * w1 + v3 * w0]
+
+
 def _connect_inline(ab, bc, noise):
-    """``connect_coeffs`` as it was written before NoiseParams held its constants."""
+    """``connect_coeffs`` as a convolution: the pairs, then the readout kernel, then gate noise."""
     eta = noise.eta
     kernel = (eta * eta, eta * (1.0 - eta), eta * (1.0 - eta), (1.0 - eta) ** 2)
     ideal_weight = noise.p1 * noise.p2
     mixed = (1.0 - ideal_weight) / 4.0
-    conv = maps._convolve(maps._convolve(ab, bc), kernel)
+    conv = _convolve(_convolve(ab, bc), kernel)
     return tuple(ideal_weight * c + mixed for c in conv)
+
+
+def _max_gap(v, w):
+    return max(abs(a - b) for a, b in zip(v, w))
 
 
 class TestMapProperties:
@@ -494,8 +508,9 @@ class TestMapProperties:
     def test_kernels_on_derived_constants_are_bit_identical(self, s1, s2, noise, protocol):
         assert (maps.purify_coeffs(s1.coeffs, s2.coeffs, noise, protocol)
                 == _purify_inline(s1.coeffs, s2.coeffs, noise, protocol))
-        assert maps.connect_coeffs(s1.coeffs, s2.coeffs, noise) == _connect_inline(
-            s1.coeffs, s2.coeffs, noise)
+        # connection runs on the characters, so it matches the convolution to rounding
+        assert _max_gap(maps.connect_coeffs(s1.coeffs, s2.coeffs, noise),
+                        _connect_inline(s1.coeffs, s2.coeffs, noise)) <= 1e-15
 
     @given(bell_states(), bell_states(), noise_params)
     def test_connect_states_returns_valid_state(self, s1, s2, noise):
@@ -534,6 +549,28 @@ class TestMapProperties:
 
     @given(bell_states(), bell_states(), bell_states(), noise_params)
     def test_connect_chain_associates(self, s1, s2, s3, noise):
-        left = maps.chain_coeffs([s1.coeffs, s2.coeffs, s3.coeffs], noise)
-        right = maps.connect_states(s1, maps.connect_states(s2, s3, noise), noise).coeffs
-        assert max(abs(a - b) for a, b in zip(left, right)) <= 1e-15
+        a, b, c = s1.coeffs, s2.coeffs, s3.coeffs
+        left = maps.connect_coeffs(maps.connect_coeffs(a, b, noise), c, noise)
+        right = maps.connect_coeffs(a, maps.connect_coeffs(b, c, noise), noise)
+        assert _max_gap(left, right) <= 1e-15
+        # the closed form for equal pairs is the left fold of single links
+        state = a
+        for length in range(2, 10):
+            state = checked_coeffs(maps.connect_coeffs(state, a, noise))
+            assert _max_gap(maps.chain_coeffs(a, length, noise), state) <= 1e-15
+
+    @given(bell_states(), noise_params)
+    def test_two_pair_chain_is_one_link_bit_for_bit(self, s1, noise):
+        assert maps.chain_coeffs(s1.coeffs, 2, noise) == checked_coeffs(
+            maps.connect_coeffs(s1.coeffs, s1.coeffs, noise))
+
+    @given(st.floats(0.25, 1.0), st.integers(2, 9), noise_params)
+    def test_twirl_after_every_link_never_beats_the_untwirled_chain(self, fidelity, length,
+                                                                    noise):
+        # connect_L averages the nonnegative link factors, so by the power-mean
+        # inequality the untwirled chain is at least as good, and equal at L = 2
+        chain = maps.chain_coeffs(werner_coeffs(fidelity), length, noise)[0]
+        twirled = maps.connect_L(fidelity, length, noise)
+        assert chain >= twirled - 1e-15
+        if length == 2:
+            assert abs(chain - twirled) <= 1e-15
