@@ -1,14 +1,13 @@
 """Exact density-matrix simulation of noisy connection and purification circuits.
 
 The state is a dense density matrix over four qubits (16 x 16), which
-leaves no room for approximation error.  It is real (float64) where the
-gates are, which is everywhere but the rotation-based step's pi/2
-rotations; after them that step goes on in real arithmetic when no
-imaginary part exceeds 1e-15, that is, rounding.  Operations are imperfect
-as in the closed forms: a gate of reliability p acts with weight p and
-otherwise puts its qubits back maximally mixed, and a readout reports the
-wrong outcome with probability 1 - eta.  The module builds the two circuits
-the analytic layer models in closed form:
+leaves no room for approximation error.  It is real (float64) throughout:
+every gate is real but the rotation-based step's pi/2 rotations, and those
+act only on constants built at import, whose imaginary parts are rounding.
+Operations are imperfect as in the closed forms: a gate of reliability p
+acts with weight p and otherwise puts its qubits back maximally mixed, and
+a readout reports the wrong outcome with probability 1 - eta.  The module
+builds the two circuits the analytic layer models in closed form:
 
 * ``oracle_connect``  -- Bell measurement at a middle node joining two pairs,
 * ``oracle_purify``   -- two-pair purification (``bennett`` or ``deutsch``
@@ -22,12 +21,23 @@ and whose columns the other pair's.  Connection runs on qubits
 (0, 2, 1, 3), node A's pair by node B's.  A gate or a noise channel on one
 of these pairs is then a matrix product on one side: vec(G rho G^T) is
 kron(G, G) vec(rho), and gate noise of reliability p sends vec(rho) to
-p vec(rho) + (1 - p) vec(I/4) tr(rho).  Each step below is exact:
+p vec(rho) + (1 - p) vec(I/4) tr(rho).  Every basis change that depends on
+no input is built once, at import, from the dense gates; a call gathers
+its product state, applies its gate noise and readout weights, and checks
+its output.  Each step below is exact:
 
-* The product state is gathered in that layout from the two pair
-  matrices with constant indices.  Purification's two CNOTs, one on each
-  side, permute those indices and are folded into them; a permutation
-  rounds nothing.  Both CNOTs' noise follows both gates, since channels on
+* Bell projectors in.  The four Bell projectors are held flat, (4, 16), so
+  that both pair matrices are one product: coefficients times projectors.
+* Rotated projectors.  The rotation-based step's perfect pi/2 rotations
+  carry no noise (p1 stays out of purification) and each acts within its
+  own pair, so they commute with taking the product and act on the
+  projectors instead.  The rotated projectors are built once, checked real
+  to 1e-15 (the rotations permute the Bell states) and stored real; a
+  pair, a convex combination of the four, has no larger imaginary part.
+* The product state is gathered in its layout from the two pair matrices
+  with constant indices.  Purification's two CNOTs, one on each side,
+  permute those indices and are folded into them; a permutation rounds
+  nothing.  Both CNOTs' noise follows both gates, since channels on
   disjoint pairs commute.
 * Reading qubits and discarding them is one step: the state's diagonal
   blocks on the read qubits, one per outcome, weighted per reading by eta
@@ -45,14 +55,19 @@ p vec(rho) + (1 - p) vec(I/4) tr(rho).  Each step below is exact:
   weights as (1 - p2)/4 each, by linearity.
 * Connection's Pauli corrections act on qubit 3 alone, so they commute with
   tracing out the middle node; on the four branches of the outer pair they
-  are one constant matrix.  Their noise is applied once, on the summed
-  branches: the channel is linear, and its noise term, I/2 on qubit 3
-  times qubit 0's marginal, is the same for every Pauli.
-* The rotation-based step's perfect pi/2 rotations act as one two-qubit
-  gate on the stack of both 4 x 4 pair matrices before the product: they
-  carry no noise (p1 stays out of purification) and each acts within its
-  own pair, so it commutes with taking the product.
+  are one constant matrix, with the change to the Bell basis,
+  kron(B^T, B^T) on a flat 4 x 4 matrix, folded in.  Their noise is
+  applied once, on the summed branches: the channel is linear, and its
+  noise term, I/2 on qubit 3 times qubit 0's marginal, is the same for
+  every Pauli.
+* Bell-basis readout out.  Purification's readout is one (64, 256) map
+  from the flat state to each outcome's kept block in the Bell basis: the
+  read qubits' diagonal blocks and the change to the Bell basis, folded
+  together.  A block's diagonal sum is its trace, the outcome's
+  probability.
 
+Both circuits end in the Bell basis, and an output with an off-diagonal
+Bell-basis element above 1e-12 raises :class:`NumericError`.
 ``tests/test_oracle.py`` holds both circuits in the literal gate order,
 built with kron, as the dense reference they must match to 1e-13.  The
 closed-form maps in :mod:`qrepeater.maps` are required to agree with these
@@ -90,7 +105,36 @@ ROT_X_NEG = (I2 + 1j * X) / np.sqrt(2.0)
 _PAIR_ROTATION = np.kron(ROT_X_POS, ROT_X_NEG)
 _PAIR_ROTATION_H = _PAIR_ROTATION.conj().T
 
+#: The four Bell kets as columns, in the package-wide ordering.
+_BELL = np.array(
+    [
+        [1.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 1.0],
+        [0.0, 0.0, 1.0, -1.0],
+        [1.0, -1.0, 0.0, 0.0],
+    ],
+) / np.sqrt(2.0)
+#: The four Bell projectors |B_k><B_k|, flat: a pair's flat matrix is its coefficients times these.
+_BELL_PROJECTORS = np.einsum("ik,jk->kij", _BELL, _BELL).reshape(4, 16)
+#: The change to the Bell basis of a flat 4 x 4 matrix: vec(B^T rho B) = kron(B^T, B^T) vec(rho).
+_TO_BELL = np.kron(_BELL.T, _BELL.T)
+_OFF_DIAGONAL = ~np.eye(4, dtype=bool).reshape(16)
+
 _BRANCH_EPS = 1e-15
+
+
+def _rotated_projectors() -> np.ndarray:
+    """The Bell projectors after the rotation-based step's rotations, flat and real.
+
+    The rotations permute the Bell states, so any imaginary part is rounding:
+    above 1e-15 raises :class:`NumericError`.
+    """
+    rotated = _PAIR_ROTATION @ _BELL_PROJECTORS.reshape(4, 4, 4) @ _PAIR_ROTATION_H
+    imaginary = np.abs(rotated.imag).max()
+    if not imaginary <= 1e-15:
+        raise NumericError(f"rotated Bell projectors have imaginary parts up to {imaginary:.3e}")
+    return rotated.real.reshape(4, 16).copy()
+
 
 def _product_gathers(layout: str) -> tuple[np.ndarray, np.ndarray]:
     """(16, 16) indices into a flat (2, 4, 4) pair stack that gather each pair's factor.
@@ -110,6 +154,20 @@ def _on_flat_pair(channel) -> np.ndarray:
     return np.array([channel(basis.reshape(4, 4)).reshape(16) for basis in np.eye(16)]).T
 
 
+def _purify_readout() -> np.ndarray:
+    """(64, 256): purification's flat state to each outcome's kept block, flat in the Bell basis.
+
+    Rows (0, 2) and columns (1, 3) of the state as row and column bits, outcome
+    2x + y of reading x and y keeps the block ``state[i x k x, j y l y]``, the
+    kept pair's ``ijkl``, and turns it to the Bell basis.
+    """
+    entries = np.einsum("ixkxjyly->xyijkl", np.arange(256).reshape((2,) * 8)).reshape(4, 16)
+    readout = np.zeros((4, 16, 256))
+    for block, taken in zip(readout, entries):
+        block[:, taken] = _TO_BELL
+    return readout.reshape(64, 256)
+
+
 #: Connection's product: rows are qubits (1, 2) flat, columns qubits (0, 3) flat.
 _CONNECT_GATHERS = _product_gathers("ijkl,mnop->jmloinkp")
 #: Connection's noisy CNOT (1 -> 2) and the basis change on qubit 1, as one gate G, and
@@ -118,12 +176,14 @@ _BELL_MEASUREMENT = np.kron(HADAMARD, I2) @ CNOT
 _MIDDLE_BLOCKS = np.kron(_BELL_MEASUREMENT, _BELL_MEASUREMENT)[::5]
 #: Connection's Pauli correction on qubit 3 for readings m1, m2 of qubits 1, 2 (entry
 #: 2*m1 + m2), as one map from the four stacked flat branches of qubits (0, 3) to their
-#: corrected sum; stacked with that map followed by the correction's noise term.
+#: corrected sum in the Bell basis; stacked with that map through the correction's noise term.
 _PAULI_CORRECTIONS = np.concatenate(
     [np.kron(np.kron(I2, c), np.kron(I2, c)) for c in (I2, X, Z, Z @ X)], axis=1)
 _QUBIT_3_MIXING = _on_flat_pair(
     lambda rho: np.kron(np.trace(rho.reshape(2, 2, 2, 2), axis1=1, axis2=3), I2 / 2))
-_CORRECTIONS = np.stack((_PAULI_CORRECTIONS, _QUBIT_3_MIXING @ _PAULI_CORRECTIONS))
+_CORRECTIONS = np.stack((_TO_BELL @ _PAULI_CORRECTIONS,
+                         _TO_BELL @ _QUBIT_3_MIXING @ _PAULI_CORRECTIONS))
+del _PAULI_CORRECTIONS, _QUBIT_3_MIXING
 
 #: Purification's product after both CNOTs: rows are qubits (0, 2) flat, columns (1, 3)
 #: flat, and each CNOT is kron(CNOT, CNOT) on its side, a permutation.
@@ -133,6 +193,9 @@ _PURIFY_GATHERS = tuple(gather[np.ix_(_CNOT_ON_FLAT_PAIR, _CNOT_ON_FLAT_PAIR)]
 #: The identity and the two-qubit gate noise term, vec(I/4) tr(rho), on a flat pair.
 _FLAT_IDENTITY = np.eye(16)
 _PAIR_MIXING = _on_flat_pair(lambda rho: np.trace(rho) * np.eye(4) / 4)
+#: The rotation-based step's input projectors, and purification's readout map.
+_ROTATED_PROJECTORS = _rotated_projectors()
+_PURIFY_READOUT = _purify_readout()
 
 #: Misreads of reading m on outcome a of two qubits, both indexed 2 * first + second.
 _MISREADS = np.array([[bin(m ^ a).count("1") for a in range(4)] for m in range(4)])
@@ -161,26 +224,26 @@ def _readings(outcomes: np.ndarray, eta: float, p: float = 1.0):
     return weights, probs
 
 
-#: The four Bell kets as columns, in the package-wide ordering.
-_BELL = np.array(
-    [
-        [1.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 1.0],
-        [0.0, 0.0, 1.0, -1.0],
-        [1.0, -1.0, 0.0, 0.0],
-    ],
-) / np.sqrt(2.0)
-_BELL_H = _BELL.T
-
-_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
-
-
 def bell_diagonal_to_dm(state) -> np.ndarray:
     """4x4 density matrix of a Bell-diagonal state; a (..., 4) coefficient array gives a stack."""
     coeffs = np.asarray(state.coeffs if isinstance(state, BellDiagonalState) else state)
     if coeffs.shape[-1:] != (4,):
         raise ValidationError(f"expected Bell coefficient vectors, got shape {coeffs.shape}")
-    return (_BELL * coeffs[..., None, :]) @ _BELL_H
+    return (coeffs[..., None, :] @ _BELL_PROJECTORS).reshape(coeffs.shape[:-1] + (4, 4))
+
+
+def _bell_diagonal(in_bell: np.ndarray) -> np.ndarray:
+    """The diagonal of a flat 4 x 4 matrix in the Bell basis, checked to be all it holds.
+
+    An off-diagonal element above 1e-12 raises :class:`NumericError`.
+    """
+    off_diagonal = np.abs(in_bell[_OFF_DIAGONAL]).max()
+    if not off_diagonal <= 1e-12:  # NaN fails too
+        raise NumericError(
+            f"state is not Bell-diagonal: off-diagonal Bell-basis element "
+            f"{off_diagonal:.3e} exceeds 1e-12"
+        )
+    return in_bell[::5].real.copy()
 
 
 def bell_coefficients(rho: np.ndarray) -> np.ndarray:
@@ -191,14 +254,7 @@ def bell_coefficients(rho: np.ndarray) -> np.ndarray:
     """
     if rho.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 matrix, got {rho.shape}")
-    in_bell = _BELL_H @ rho @ _BELL
-    off_diagonal = np.abs(in_bell[_OFF_DIAGONAL]).max()
-    if not off_diagonal <= 1e-12:  # NaN fails too
-        raise NumericError(
-            f"state is not Bell-diagonal: off-diagonal Bell-basis element "
-            f"{off_diagonal:.3e} exceeds 1e-12"
-        )
-    return in_bell.diagonal().real.copy()
+    return _bell_diagonal(_TO_BELL @ rho.reshape(16))
 
 
 def oracle_connect(pair_ab: BellDiagonalState, pair_bc: BellDiagonalState,
@@ -218,14 +274,13 @@ def oracle_connect(pair_ab: BellDiagonalState, pair_bc: BellDiagonalState,
     require_type("noise", noise, NoiseParams)
     require_type("pair_ab", pair_ab, BellDiagonalState)
     require_type("pair_bc", pair_bc, BellDiagonalState)
-    pairs = bell_diagonal_to_dm(np.array((pair_ab.coeffs, pair_bc.coeffs))).reshape(32)
+    pairs = (np.array((pair_ab.coeffs, pair_bc.coeffs)) @ _BELL_PROJECTORS).reshape(32)
     first, second = _CONNECT_GATHERS
     blocks = _MIDDLE_BLOCKS @ (pairs[first] * pairs[second])  # flat 4 x 4 of qubits (0, 3)
-    weights, _ = _readings(blocks[:, ::5].sum(axis=1).real, noise.eta, noise.p2)
+    weights, _ = _readings(blocks[:, ::5].sum(axis=1), noise.eta, noise.p2)
     corrected = _CORRECTIONS @ (weights @ blocks).reshape(64)
-    joined = (np.array((noise.p1, 1.0 - noise.p1)) @ corrected).reshape(4, 4)
+    coeffs = _bell_diagonal(np.array((noise.p1, 1.0 - noise.p1)) @ corrected)
 
-    coeffs = bell_coefficients(joined)
     if twirl_output:
         fid = float(coeffs[0])
         off = (1.0 - fid) / 3.0
@@ -242,38 +297,31 @@ def oracle_purify(kept: BellDiagonalState, sacrificed: BellDiagonalState,
     apply a bilateral noisy CNOT (kept controls sacrificed), read out the
     sacrificed pair with imperfect detectors and keep the coinciding-reading
     branches.  The ``deutsch`` variant first applies perfect pi/2 rotations
-    of opposite sign on the two nodes, as one two-qubit gate on the stack of
-    both pairs before the product: the model leaves the one-qubit gate noise
-    p1 out of purification, and each rotation acts within its own pair.
+    of opposite sign on the two nodes, through the rotated Bell projectors
+    that both pairs are built from: the model leaves the one-qubit gate
+    noise p1 out of purification, and each rotation acts within its own pair.
     """
     if protocol not in maps.PROTOCOLS:
         raise ValidationError(f"unknown purification protocol {protocol!r}")
     require_type("noise", noise, NoiseParams)
     require_type("kept", kept, BellDiagonalState)
     require_type("sacrificed", sacrificed, BellDiagonalState)
-    pairs = bell_diagonal_to_dm(np.array((kept.coeffs, sacrificed.coeffs)))
-    if protocol == "deutsch":
-        pairs = _PAIR_ROTATION @ pairs @ _PAIR_ROTATION_H
-        if np.abs(pairs.imag).max() <= 1e-15:  # rounding: Bell-diagonal pairs rotate to reals
-            pairs = pairs.real
-    pairs = pairs.reshape(32)
+    projectors = _ROTATED_PROJECTORS if protocol == "deutsch" else _BELL_PROJECTORS
+    pairs = (np.array((kept.coeffs, sacrificed.coeffs)) @ projectors).reshape(32)
     first, second = _PURIFY_GATHERS
     state = pairs[first] * pairs[second]
     if noise.p2 != 1.0:  # each CNOT's noise, on its side
         channel = noise.p2 * _FLAT_IDENTITY + (1.0 - noise.p2) * _PAIR_MIXING
         state = channel @ state @ channel.T
 
-    # rows (0, 2) and columns (1, 3) as row and column bits: read x and y, keep the rest
-    tensor = state.reshape((2,) * 8)
-    weights, probs = _readings(np.einsum("ixixjyjy->xy", tensor).real.reshape(4), noise.eta)
+    blocks = (_PURIFY_READOUT @ state.reshape(256)).reshape(4, 16)  # kept pair, Bell basis
+    weights, probs = _readings(blocks[:, ::5].sum(axis=1), noise.eta)
     p_succ = float(probs[0] + probs[3])
     if p_succ < _BRANCH_EPS:
         raise DegeneratePostSelectionError(
             "post-selection kept no probability mass; degenerate parameter regime"
         )
-    agree = (weights[0] + weights[3]).reshape(2, 2)
-    kept_sum = np.einsum("ixkxjyly,xy->ijkl", tensor, agree).reshape(4, 4)
-    coeffs = bell_coefficients(kept_sum / p_succ)
+    coeffs = _bell_diagonal((weights[0] + weights[3]) @ blocks / p_succ)
     return p_succ, BellDiagonalState(tuple(coeffs.tolist()))
 
 

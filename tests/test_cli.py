@@ -532,11 +532,13 @@ class TestOracleCheck:
         from qrepeater import oracle
         from test_oracle import embed
 
-        # a small Z rotation on one end of every input pair leaves Bell-basis coherences
-        exact = oracle.bell_diagonal_to_dm
-        rotation = embed(np.diag([np.exp(-1e-3j), np.exp(1e-3j)]), 2, (0,))
-        monkeypatch.setattr(oracle, "bell_diagonal_to_dm",
-                            lambda state: rotation @ exact(state) @ rotation.conj().T)
+        # a small Y rotation on one end of every Bell projector, which every input pair is
+        # built from, leaves Bell-basis coherences; it is real, as the circuits' arithmetic is
+        turn = np.array([[np.cos(1e-3), -np.sin(1e-3)], [np.sin(1e-3), np.cos(1e-3)]])
+        rotation = embed(turn, 2, (0,)).real
+        projectors = oracle._BELL_PROJECTORS.reshape(4, 4, 4)
+        monkeypatch.setattr(oracle, "_BELL_PROJECTORS",
+                            (rotation @ projectors @ rotation.T).reshape(4, 16))
         code, out, err = run_cli(capsys, "oracle-check")
         assert code == 1
         assert out.startswith("FAIL: state is not Bell-diagonal") and out.count("\n") == 1

@@ -319,6 +319,14 @@ class TestUnboundedChain:
         perfect = maps.chain_coeffs((1.0, 0.0, 0.0, 0.0), length, NoiseParams())
         assert perfect == (1.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("length", [4, 2 ** 53, 2 ** 53 + 1, 2 ** 53 + 2, 2 ** 53 + 3,
+                                        2 ** 60, 2 ** 60 + 1])
+    def test_chain_keeps_the_parity_of_its_length(self, length):
+        # psi- has characters (-1, -1, 1): under perfect links a chain of an even number of
+        # them is phi+ and an odd number psi-, also where length - 1 is no float
+        want = (0.0, 0.0, 0.0, 1.0) if length % 2 else (1.0, 0.0, 0.0, 0.0)
+        assert maps.chain_coeffs((0.0, 0.0, 0.0, 1.0), length, NoiseParams()) == want
+
 
 def test_optimization_and_fixed_points_build_no_state_objects(monkeypatch):
     # one object per purify step would give thousands here

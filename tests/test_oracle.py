@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qrepeater import oracle as orc
+from qrepeater import maps, oracle as orc
 from qrepeater.errors import DegeneratePostSelectionError, NumericError, ValidationError
 from qrepeater.states import BellDiagonalState, NoiseParams, WernerState
 
@@ -108,12 +108,16 @@ def dense_two_readouts(rho, targets, eta):
             for m2, prob2, rho2 in dense_noisy_measure(rho1, targets[1], eta)}
 
 
-def dense_bell_state(coeffs):
-    """sum_k c_k |B_k><B_k| over the Bell kets phi+, phi-, psi+, psi- built with kron."""
+def dense_bell_kets():
+    """The Bell kets phi+, phi-, psi+, psi- built with kron, as columns."""
     e0, e1 = np.eye(2, dtype=complex)
-    kets = [(np.kron(e0, x) + sign * np.kron(e1, y)) / np.sqrt(2.0)
-            for x, y in ((e0, e1), (e1, e0)) for sign in (1, -1)]
-    return sum(c * np.outer(ket, ket.conj()) for c, ket in zip(coeffs, kets))
+    return np.array([(np.kron(e0, x) + sign * np.kron(e1, y)) / np.sqrt(2.0)
+                     for x, y in ((e0, e1), (e1, e0)) for sign in (1, -1)]).T
+
+
+def dense_bell_state(coeffs):
+    """sum_k c_k |B_k><B_k| over the Bell kets built with kron."""
+    return sum(c * np.outer(ket, ket.conj()) for c, ket in zip(coeffs, dense_bell_kets().T))
 
 
 def random_unitary(rng, dim):
@@ -153,8 +157,12 @@ PAULIS = [orc.I2, orc.X, orc.Z, orc.Z @ orc.X]
 
 
 def corrected_sum(branches, p):
-    """The oracle's noisy corrections of four 4 x 4 branches of qubits (0, 3), summed."""
-    return (np.array((p, 1.0 - p)) @ (orc._CORRECTIONS @ branches.reshape(64))).reshape(4, 4)
+    """The oracle's noisy corrections of four 4 x 4 branches of qubits (0, 3), summed.
+
+    The oracle's corrections end in the Bell basis; the sum is turned back here.
+    """
+    in_bell = (np.array((p, 1.0 - p)) @ (orc._CORRECTIONS @ branches.reshape(64))).reshape(4, 4)
+    return orc._BELL @ in_bell @ orc._BELL.T
 
 
 def readout_blocks(rho, targets):
@@ -293,6 +301,26 @@ class TestAgainstDenseReference:
             assert np.abs(got[i] - dense_bell_state(coeffs[i])).max() <= 1e-13
             state = BellDiagonalState(tuple(coeffs[i].tolist()))
             assert np.array_equal(orc.bell_diagonal_to_dm(state), got[i])
+
+
+class TestFoldedConstants:
+    """The basis changes the oracle builds at import, against the kron-built reference."""
+
+    def test_rotated_projectors_are_the_dense_rotations(self):
+        assert not np.iscomplexobj(orc._ROTATED_PROJECTORS)
+        for projector, coeffs in zip(orc._ROTATED_PROJECTORS, np.eye(4)):
+            want = dense_noisy_gate(dense_bell_state(coeffs), orc.ROT_X_POS, (0,), 1.0)
+            want = dense_noisy_gate(want, orc.ROT_X_NEG, (1,), 1.0)
+            assert np.abs(projector.reshape(4, 4) - want).max() <= 1e-15
+
+    @given(seeds)
+    def test_readout_map_is_the_read_blocks_in_the_bell_basis(self, seed):
+        # purification's state, rows (0, 2) and columns (1, 3) flat, read on qubits 2 and 3
+        rho = random_density_matrix(np.random.default_rng(seed), 4)
+        got = (orc._PURIFY_READOUT @ flat_pairs(rho, (0, 2)).reshape(256)).reshape(4, 4, 4)
+        kets = dense_bell_kets()
+        want = [kets.conj().T @ block @ kets for block in readout_blocks(rho, (2, 3))]
+        assert np.abs(got - np.array(want)).max() <= 1e-13
 
 
 class TestNoiseParams:
@@ -623,6 +651,45 @@ class TestCircuitsAgainstDenseReference:
         assert len(dropped) == 16 and all(count == 2 for count in dropped)
 
 
+#: Four affinely independent interior Bell vectors, 0.15 + 0.4 e_i.
+GRID_PAIRS = [BellDiagonalState(tuple(0.15 + 0.4 * e)) for e in np.eye(4)]
+GRID_ETAS = (0.5, 0.75, 1.0)
+
+
+class TestClosedFormsOnTheGrid:
+    """The closed forms against the oracle on a grid as fine as their degrees.
+
+    Each pair enters both sides affinely (purification's ``p_succ`` and
+    ``p_succ`` times its vector); eta enters with degree 2, p2 with degree 1
+    in connection and 2 in purification, and p1 with degree 1 in connection
+    only.  The grid has one node more than each degree: non-Werner pairs,
+    ``p1 < 1`` in connection, and both purification steps.
+    """
+
+    def test_connection_full_vector(self):
+        deviations = []
+        for first, second in itertools.product(GRID_PAIRS, repeat=2):
+            for p1, p2, eta in itertools.product((0.5, 1.0), (0.5, 1.0), GRID_ETAS):
+                noise = NoiseParams(p1, p2, eta)
+                out = orc.oracle_connect(first, second, noise, twirl_output=False)
+                want = maps.connect_coeffs(first.coeffs, second.coeffs, noise)
+                deviations.append(np.abs(np.array(out.coeffs) - want).max())
+        assert len(deviations) == 192 and max(deviations) <= 1e-12
+
+    def test_purification_vector_and_success_probability(self):
+        deviations = []
+        for protocol in maps.PROTOCOLS:
+            for first, second in itertools.product(GRID_PAIRS, repeat=2):
+                for p2, eta in itertools.product((0.5, 0.75, 1.0), GRID_ETAS):
+                    noise = NoiseParams(1.0, p2, eta)
+                    p_succ, out = orc.oracle_purify(first, second, noise, protocol)
+                    want_p, want = maps.purify_coeffs(first.coeffs, second.coeffs, noise,
+                                                      protocol)
+                    deviations.append(max(abs(p_succ - want_p),
+                                          np.abs(np.array(out.coeffs) - want).max()))
+        assert len(deviations) == 288 and max(deviations) <= 1e-12
+
+
 class TestRealArithmetic:
     """Every gate of the circuits is real but the rotation-based step's rotation."""
 
@@ -634,16 +701,16 @@ class TestRealArithmetic:
                              if isinstance(value, np.ndarray) and np.iscomplexobj(value)}
         assert complex_constants == {"ROT_X_POS", "ROT_X_NEG", "_PAIR_ROTATION",
                                      "_PAIR_ROTATION_H"}
-        # the state each circuit ends in is real: the rotation-based step leaves complex
-        # arithmetic after its rotations, and nothing else enters it
+        # the state each circuit ends in is real: the rotations act only on the rotated
+        # projectors, built at import and stored real, so no call enters complex arithmetic
         final = []
-        bell_coefficients = orc.bell_coefficients
+        bell_diagonal = orc._bell_diagonal
 
-        def spy(rho):
-            final.append(np.iscomplexobj(rho))
-            return bell_coefficients(rho)
+        def spy(in_bell):
+            final.append(np.iscomplexobj(in_bell))
+            return bell_diagonal(in_bell)
 
-        monkeypatch.setattr(orc, "bell_coefficients", spy)
+        monkeypatch.setattr(orc, "_bell_diagonal", spy)
         first, second = BellDiagonalState(tuple(SKEWED)), BellDiagonalState(tuple(SKEWED[::-1]))
         if circuit == "connect":
             orc.oracle_connect(first, second, noise, twirl_output=False)
