@@ -106,20 +106,18 @@ def chain_coeffs(pair: Sequence[float], length: int, noise: NoiseParams) -> tupl
 
     Characters ``(g(s) * v(s)) ** (length - 1) * v(s)``, as in :func:`connect_coeffs` (bit for bit
     at two pairs).  A float power rounds its exponent to a float, which is even from ``2**53`` on,
-    so there each power takes its sign from the parity of ``length - 1`` itself.
+    so each power takes its sign from the parity of ``length - 1`` itself: this is how float
+    powers of a negative base already work below ``2**53``.
     """
     g1, g3 = noise.connect_constants
     v1, v2, v3 = _characters(pair)
     n = length - 1
-    if n < 2 ** 53:  # a float holds n exactly
-        return checked_coeffs(_from_characters((g1 * v1) ** n * v1, (g1 * v2) ** n * v2,
-                                               (g3 * v3) ** n * v3))
     return checked_coeffs(_from_characters(_power(g1 * v1, n) * v1, _power(g1 * v2, n) * v2,
                                            _power(g3 * v3, n) * v3))
 
 
 def _power(x: float, n: int) -> float:
-    """``x ** n`` for an int ``n >= 2**53``, with the sign of ``x`` when ``n`` is odd."""
+    """``x ** n`` for an int ``n >= 0``, with the sign of ``x`` when ``n`` is odd."""
     return math.copysign(abs(x) ** n, x if n & 1 else 1.0)
 
 

@@ -60,11 +60,11 @@ its output.  Each step below is exact:
   applied once, on the summed branches: the channel is linear, and its
   noise term, I/2 on qubit 3 times qubit 0's marginal, is the same for
   every Pauli.
-* Bell-basis readout out.  Purification's readout is one (64, 256) map
-  from the flat state to each outcome's kept block in the Bell basis: the
-  read qubits' diagonal blocks and the change to the Bell basis, folded
-  together.  A block's diagonal sum is its trace, the outcome's
-  probability.
+* Bell-basis readout out.  Purification's readout gathers the read
+  qubits' diagonal blocks, one kept block per outcome, from the flat state
+  with one constant index array, and turns the four to the Bell basis with
+  one product by kron(B^T, B^T).  A block's diagonal sum is its trace, the
+  outcome's probability.
 
 Both circuits end in the Bell basis, and an output with an off-diagonal
 Bell-basis element above 1e-12 raises :class:`NumericError`.
@@ -154,20 +154,6 @@ def _on_flat_pair(channel) -> np.ndarray:
     return np.array([channel(basis.reshape(4, 4)).reshape(16) for basis in np.eye(16)]).T
 
 
-def _purify_readout() -> np.ndarray:
-    """(64, 256): purification's flat state to each outcome's kept block, flat in the Bell basis.
-
-    Rows (0, 2) and columns (1, 3) of the state as row and column bits, outcome
-    2x + y of reading x and y keeps the block ``state[i x k x, j y l y]``, the
-    kept pair's ``ijkl``, and turns it to the Bell basis.
-    """
-    entries = np.einsum("ixkxjyly->xyijkl", np.arange(256).reshape((2,) * 8)).reshape(4, 16)
-    readout = np.zeros((4, 16, 256))
-    for block, taken in zip(readout, entries):
-        block[:, taken] = _TO_BELL
-    return readout.reshape(64, 256)
-
-
 #: Connection's product: rows are qubits (1, 2) flat, columns qubits (0, 3) flat.
 _CONNECT_GATHERS = _product_gathers("ijkl,mnop->jmloinkp")
 #: Connection's noisy CNOT (1 -> 2) and the basis change on qubit 1, as one gate G, and
@@ -193,9 +179,12 @@ _PURIFY_GATHERS = tuple(gather[np.ix_(_CNOT_ON_FLAT_PAIR, _CNOT_ON_FLAT_PAIR)]
 #: The identity and the two-qubit gate noise term, vec(I/4) tr(rho), on a flat pair.
 _FLAT_IDENTITY = np.eye(16)
 _PAIR_MIXING = _on_flat_pair(lambda rho: np.trace(rho) * np.eye(4) / 4)
-#: The rotation-based step's input projectors, and purification's readout map.
+#: The rotation-based step's input projectors.
 _ROTATED_PROJECTORS = _rotated_projectors()
-_PURIFY_READOUT = _purify_readout()
+#: Purification's readout: with rows (0, 2) and columns (1, 3) of the state as row and column
+#: bits, outcome 2x + y of reading x and y keeps the block ``state[i x k x, j y l y]``, the kept
+#: pair's ``ijkl``; row 2x + y holds that block's entries in the flat state.
+_PURIFY_READ = np.einsum("ixkxjyly->xyijkl", np.arange(256).reshape((2,) * 8)).reshape(4, 16)
 
 #: Misreads of reading m on outcome a of two qubits, both indexed 2 * first + second.
 _MISREADS = np.array([[bin(m ^ a).count("1") for a in range(4)] for m in range(4)])
@@ -314,7 +303,7 @@ def oracle_purify(kept: BellDiagonalState, sacrificed: BellDiagonalState,
         channel = noise.p2 * _FLAT_IDENTITY + (1.0 - noise.p2) * _PAIR_MIXING
         state = channel @ state @ channel.T
 
-    blocks = (_PURIFY_READOUT @ state.reshape(256)).reshape(4, 16)  # kept pair, Bell basis
+    blocks = state.reshape(256)[_PURIFY_READ] @ _TO_BELL.T  # kept pair, Bell basis
     weights, probs = _readings(blocks[:, ::5].sum(axis=1), noise.eta)
     p_succ = float(probs[0] + probs[3])
     if p_succ < _BRANCH_EPS:

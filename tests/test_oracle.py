@@ -314,10 +314,11 @@ class TestFoldedConstants:
             assert np.abs(projector.reshape(4, 4) - want).max() <= 1e-15
 
     @given(seeds)
-    def test_readout_map_is_the_read_blocks_in_the_bell_basis(self, seed):
+    def test_readout_is_the_read_blocks_in_the_bell_basis(self, seed):
         # purification's state, rows (0, 2) and columns (1, 3) flat, read on qubits 2 and 3
         rho = random_density_matrix(np.random.default_rng(seed), 4)
-        got = (orc._PURIFY_READOUT @ flat_pairs(rho, (0, 2)).reshape(256)).reshape(4, 4, 4)
+        got = flat_pairs(rho, (0, 2)).reshape(256)[orc._PURIFY_READ] @ orc._TO_BELL.T
+        got = got.reshape(4, 4, 4)
         kets = dense_bell_kets()
         want = [kets.conj().T @ block @ kets for block in readout_blocks(rho, (2, 3))]
         assert np.abs(got - np.array(want)).max() <= 1e-13
