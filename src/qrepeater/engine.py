@@ -15,12 +15,15 @@ Monte Carlo):
   grow only with the number of nesting levels, while the build time
   compounds level over level.
 
-Each level of :func:`simulate` connects ``L`` pairs and then purifies, one
-step at a time, back up to the working fidelity; a step that gains nothing
-ends the run with an :class:`InfeasibleError` naming the level and the cause
-(``_stall_error``), as does a level over ``_MAX_STEPS`` steps or with a
-total beyond float range.  States are carried as checked Bell coefficient
-4-tuples through the coefficient kernels of :mod:`qrepeater.maps`.
+One nesting level is one call of the level map ``_level_map``: it connects
+``L`` pairs and then purifies, one step at a time, back up to the working
+fidelity.  ``_run_levels`` is the accounting fold over it that both
+:func:`simulate` and :func:`optimize_working_fidelity` run, on arguments
+their callers checked once.  A step that gains nothing ends the run with an
+:class:`InfeasibleError` naming the level and the cause (``_stall_error``),
+as does a level over ``_MAX_STEPS`` steps or with a total beyond float
+range.  States are carried as checked Bell coefficient 4-tuples through the
+coefficient kernels of :mod:`qrepeater.maps`.
 
 Resource accounting: a level that needs ``m`` purification steps consumes on
 average ``M = prod(2 / p_succ)`` parallel copies of its connected pair (in
@@ -186,57 +189,78 @@ def _stall_error(stalled: float, connected: float, f_work: float,
     )
 
 
-def _run_levels(config: ProtocolConfig, protocol: str):
-    """The level loop behind :func:`simulate` and :func:`optimize_working_fidelity`.
-
-    Everything that decides a run happens here: the protocol check, scheme
-    A's Werner projection, the check of every kernel output, the step cap
-    and stall errors, and the pairs and time recurrences, whose overflow
-    is an infeasibility of its level.  Returns ``(rows, parallel, pairs,
-    total_time)``; a row holds the :class:`LevelRecord` fields of a level,
-    in order.
-    """
+def _require_protocol(protocol: str) -> None:
     if protocol not in PROTOCOLS:
         raise ValidationError(f"unknown purification protocol {protocol!r}")
-    pumped = config.scheme == "C"
-    depolarize = config.scheme == "A"
-    if not pumped:
-        protocol = "bennett" if depolarize else "deutsch"
 
-    timing, noise, f_work, length = config.timing, config.noise, config.f_work, config.length
-    state = werner_coeffs(config.f_init)
+
+def _level_map(state, length: int, noise: NoiseParams, f_work: float, scheme: str,
+               protocol: str):
+    """One nesting level: connect ``length`` copies of ``state``, purify back to ``f_work``.
+
+    ``state`` is a checked coefficient 4-tuple, ``protocol`` the one the purification
+    steps run.  Scheme A projects the connected pair and every step's output to Werner
+    form; scheme C purifies with a re-created connected pair instead of a parallel copy.
+    Every kernel output is checked; a step that gains nothing raises
+    :func:`_stall_error`, and more than ``_MAX_STEPS`` steps an :class:`InfeasibleError`.
+    Returns ``(state, connected_fidelity, p_succ, copies)``: ``copies`` is ``M``, the
+    product of ``2 / p_succ`` over the steps taken left to right from 1.0, or
+    ``1 + steps`` in scheme C.
+    """
+    pumped = scheme == "C"
+    if scheme == "A":
+        connected = werner_coeffs(connect_L(state[0], length, noise))
+    else:
+        connected = chain_coeffs(state, length, noise)
+    # overshoot past f_work is allowed and recorded
+    state, fidelity, p_succ, copies = connected, connected[0], [], 1.0
+    while fidelity < f_work:
+        if len(p_succ) >= _MAX_STEPS:  # reachable just inside the saddle node
+            raise InfeasibleError(
+                f"purification did not reach the working fidelity {f_work} "
+                f"within {_MAX_STEPS} steps"
+            )
+        p, out = purify_coeffs(state, connected if pumped else state, noise, protocol)
+        purified = checked_coeffs(out)
+        if scheme == "A":
+            purified = werner_coeffs(purified[0])
+        if purified[0] <= fidelity + _GAIN_EPS:
+            raise _stall_error(fidelity, connected[0], f_work, pumped)
+        p_succ.append(p)
+        copies *= 2.0 / p
+        state, fidelity = purified, purified[0]
+    if pumped:
+        copies = 1.0 + len(p_succ)
+    return state, connected[0], p_succ, copies
+
+
+def _run_levels(f_init: float, n_levels: int, length: int, noise: NoiseParams,
+                f_work: float, scheme: str, protocol: str, timing: TimingModel):
+    """The accounting fold over :func:`_level_map`, on already-checked arguments.
+
+    Runs ``n_levels`` levels from a Werner pair at ``f_init``, with ``protocol``
+    the one the purification steps run, and adds up the parallel copies, the
+    elementary pairs and the build time; a total beyond float range is an
+    infeasibility of its level, and every :class:`InfeasibleError` is named
+    after its level.  Returns ``(rows, parallel, pairs, total_time)``; a row
+    holds the :class:`LevelRecord` fields of a level, in order.
+    """
+    pumped = scheme == "C"
+    state = werner_coeffs(f_init)
     rows = []
     parallel = 1.0
     pairs = 1.0
+    span = 1
     total_time = timing.tau_pair
-    for level in range(1, config.n_levels + 1):
+    for level in range(1, n_levels + 1):
         f_in = state[0]
-        if depolarize:
-            connected = werner_coeffs(connect_L(f_in, length, noise))
-        else:
-            connected = chain_coeffs(state, length, noise)
-        # purify back up to f_work; overshoot past it is allowed and recorded
-        state, fidelity, p_succ = connected, connected[0], []
         try:
-            while fidelity < f_work:
-                if len(p_succ) >= _MAX_STEPS:  # reachable just inside the saddle node
-                    raise InfeasibleError(
-                        f"purification did not reach the working fidelity {f_work} "
-                        f"within {_MAX_STEPS} steps"
-                    )
-                p, out = purify_coeffs(state, connected if pumped else state, noise, protocol)
-                purified = checked_coeffs(out)
-                if depolarize:
-                    purified = werner_coeffs(purified[0])
-                if purified[0] <= fidelity + _GAIN_EPS:
-                    raise _stall_error(fidelity, connected[0], f_work, pumped)
-                p_succ.append(p)
-                state, fidelity = purified, purified[0]
+            state, connected, p_succ, copies = _level_map(state, length, noise, f_work,
+                                                          scheme, protocol)
             steps = len(p_succ)
-            avg_pairs = 1.0 + steps if pumped else math.prod((2.0 / p for p in p_succ), start=1.0)
-            span = length ** level
-            parallel *= avg_pairs
-            pairs *= length * avg_pairs
+            span *= length
+            parallel *= copies
+            pairs *= length * copies
             round_time = timing.tau_op + timing.comm_time(span)
             if pumped:
                 t_pair = total_time + round_time
@@ -244,12 +268,13 @@ def _run_levels(config: ProtocolConfig, protocol: str):
             else:
                 total_time += (1 + steps) * round_time
             # parallel never exceeds pairs, so it stays finite with it
-            for name, value in (("elementary_pairs", pairs), ("total_time", total_time)):
-                if not math.isfinite(value):
-                    raise InfeasibleError(f"{name} exceeds float range")
+            if not math.isfinite(pairs):
+                raise InfeasibleError("elementary_pairs exceeds float range")
+            if not math.isfinite(total_time):
+                raise InfeasibleError("total_time exceeds float range")
         except InfeasibleError as exc:
             raise _attach_level(exc, level)
-        rows.append((level, span, f_in, connected[0], fidelity, steps, tuple(p_succ), avg_pairs))
+        rows.append((level, span, f_in, connected, state[0], steps, tuple(p_succ), copies))
     return rows, parallel, pairs, total_time
 
 
@@ -272,8 +297,13 @@ def simulate(config: ProtocolConfig, protocol: str = "deutsch") -> RepeaterRepor
     (sequentially), while the sub-builds within one creation run in parallel
     across their spans.  A total beyond float range is infeasible at its level.
     """
-    rows, parallel, pairs, total_time = _run_levels(config, protocol)
+    _require_protocol(protocol)
     pumped = config.scheme == "C"
+    if not pumped:
+        protocol = "bennett" if config.scheme == "A" else "deutsch"
+    rows, parallel, pairs, total_time = _run_levels(
+        config.f_init, config.n_levels, config.length, config.noise, config.f_work,
+        config.scheme, protocol, config.timing)
     levels = tuple(LevelRecord(*row) for row in rows)
     return RepeaterReport(
         scheme=config.scheme,
@@ -311,33 +341,41 @@ def optimize_working_fidelity(length: int, noise: NoiseParams, protocol: str,
     (``"deutsch"``) with the elementary and working fidelity both set to the
     point, and takes the geometric mean of the per-level copy counts;
     discreteness makes individual levels overshoot and undershoot, and the
-    average is what the working point maintains.  Each point is a checked
-    :class:`ProtocolConfig` run through the level loop of :func:`simulate`,
-    without building its per-level records or report.
+    average is what the working point maintains.  The shared arguments are
+    checked once, with :class:`ProtocolConfig`'s messages, and each point runs
+    the accounting fold of :func:`simulate` on its checked fidelity, with no
+    config, per-level records or report built.
     """
     require_int("length", length)
     require_int("n_levels", n_levels)
     if n_levels < 1:
         raise ValidationError(f"n_levels must be >= 1, got {n_levels}")
-    # by logarithm, so that a huge n_levels builds no huge power before the check;
-    # ProtocolConfig checks length itself, and the exact float range of the power
-    if length >= 2 and n_levels * math.log(length) > _LOG_FLOAT_MAX:
+    if length < 2:
+        raise ValidationError(f"branching factor must be >= 2, got {length}")
+    # by logarithm, so that a huge n_levels builds no huge power before the check
+    if n_levels * math.log(length) > _LOG_FLOAT_MAX:
         raise ValidationError(
             f"length ** n_levels ({length} ** {n_levels}) exceeds float range"
         )
+    if length ** n_levels > sys.float_info.max:  # the exact range, past the logarithm's rounding
+        raise ValidationError(
+            f"segment count N exceeds float range (at most {sys.float_info.max:.6g})"
+        )
+    require_type("noise", noise, NoiseParams)
+    _require_protocol(protocol)
     scheme = "A" if protocol == "bennett" else "B"
-    n_segments = length ** n_levels
+    timing = TimingModel()
     curve: list[tuple[float, float]] = []
     infeasible: list[float] = []
-    for f_work in f_grid:
-        config = ProtocolConfig(n_segments=n_segments, length=length, scheme=scheme,
-                                f_init=f_work, f_work=f_work, noise=noise)
+    for f in f_grid:
+        f_work = require_in("f_work", f, 0.25, 1)
         try:
-            parallel = _run_levels(config, protocol)[1]  # rejects an unknown protocol
+            parallel = _run_levels(f_work, n_levels, length, noise, f_work, scheme, protocol,
+                                   timing)[1]
         except InfeasibleError:
-            infeasible.append(config.f_work)
+            infeasible.append(f_work)
             continue
-        curve.append((config.f_work, parallel ** (1.0 / n_levels)))
+        curve.append((f_work, parallel ** (1.0 / n_levels)))
     if not curve:
         if not infeasible:
             raise ValidationError("the working-fidelity grid f_grid is empty")

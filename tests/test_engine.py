@@ -16,7 +16,7 @@ from qrepeater.engine import (
     simulate,
 )
 from qrepeater.errors import AuxPurificationError, InfeasibleError, ValidationError
-from qrepeater.states import BellDiagonalState, NoiseParams, WernerState
+from qrepeater.states import BellDiagonalState, NoiseParams, WernerState, werner_coeffs
 
 NOISE = NoiseParams.uniform(0.995)
 #: The acceptance grid of working fidelities: 0.86 to 0.995 in steps of 0.0025.
@@ -298,6 +298,45 @@ class TestLoopMatchesPublicMaps:
             simulate(make_config(scheme=scheme))
 
 
+#: (scheme, protocol, f_init, f_work): schemes A and B at their optimum working
+#: fidelity at 0.5 % errors, and scheme C started 0.02 above B's.
+LEVEL_RUNS = [("A", "bennett", 0.9425, 0.9425), ("B", "deutsch", 0.9675, 0.9675),
+              ("C", "deutsch", 0.9875, 0.9675)]
+
+
+class TestLevelMap:
+    """``engine._level_map`` is one level of ``simulate``, and the fold only adds it up."""
+
+    @pytest.mark.parametrize("scheme, protocol, f_init, f_work", LEVEL_RUNS, ids="ABC")
+    def test_iterating_the_map_reproduces_the_level_records(self, scheme, protocol,
+                                                            f_init, f_work):
+        levels = simulate(make_config(scheme=scheme, n_segments=2 ** 10, f_init=f_init,
+                                      f_work=f_work)).levels
+        state = werner_coeffs(f_init)
+        for record in levels:
+            state, connected, p_succ, copies = engine._level_map(state, 2, NOISE, f_work,
+                                                                 scheme, protocol)
+            assert (connected, state[0], tuple(p_succ), len(p_succ), copies) == (
+                record.fidelity_connected, record.fidelity_achieved, record.p_succ,
+                record.steps, record.avg_pairs)
+
+    @pytest.mark.parametrize("n_levels", [10, 60])
+    @pytest.mark.parametrize("scheme, protocol, f_init, f_work", LEVEL_RUNS, ids="ABC")
+    def test_copies_are_the_documented_product(self, scheme, protocol, f_init, f_work,
+                                               n_levels):
+        # the map multiplies 2 / p in at each step; the docstring's M is the left fold
+        levels = simulate(make_config(scheme=scheme, n_segments=2 ** n_levels, f_init=f_init,
+                                      f_work=f_work)).levels
+        assert len(levels) == n_levels
+        for record in levels:
+            if scheme == "C":
+                assert record.avg_pairs == 1.0 + record.steps
+            else:
+                assert record.steps > 0
+                assert record.avg_pairs == math.prod((2.0 / p for p in record.p_succ),
+                                                     start=1.0)
+
+
 class TestUnboundedChain:
     """A chain of any length costs one closed form: no loop and no list over its links."""
 
@@ -350,6 +389,22 @@ def test_optimization_and_fixed_points_build_no_state_objects(monkeypatch):
     maps.fixed_points(maps.deutsch_werner_map(NOISE))
     maps.fixed_points(maps.bennett_map(NOISE))
     assert built == []
+
+
+def test_optimization_checks_its_arguments_once(monkeypatch):
+    # it used to build and check one ProtocolConfig, with its default TimingModel, per point
+    built = []
+    for cls in (ProtocolConfig, TimingModel):
+        def init(self, *args, _original=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _original(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", init)
+    make_config()
+    assert built == ["ProtocolConfig", "TimingModel"]  # the counters are live
+    built.clear()
+    optimize_working_fidelity(2, NOISE, "deutsch", GRID, n_levels=10)
+    assert built.count("ProtocolConfig") <= 1
+    assert built.count("TimingModel") <= 1
 
 
 class TestTiming:
@@ -476,6 +531,31 @@ class TestOptimize:
         with pytest.raises(ValidationError, match="grid f_grid is empty"):
             optimize_working_fidelity(2, NOISE, "deutsch", grid, n_levels=4)
 
+    @pytest.mark.parametrize("length, noise, protocol, message", [
+        (1, NoiseParams(), "deutsch", "branching factor must be >= 2, got 1"),
+        (2, None, "deutsch", "noise must be a NoiseParams, got None"),
+        (2, NoiseParams(), "rotation", "unknown purification protocol 'rotation'"),
+    ], ids=["length", "noise", "protocol"])
+    @pytest.mark.parametrize("grid", [[], [0.2]], ids=["empty", "bad-value"])
+    def test_bad_arguments_are_named_before_the_grid(self, length, noise, protocol, message,
+                                                     grid):
+        # an empty grid used to hide them all behind "the working-fidelity grid f_grid is
+        # empty", and a bad first value the noise and protocol errors behind its own
+        with pytest.raises(ValidationError) as excinfo:
+            optimize_working_fidelity(length, noise, protocol, grid, n_levels=4)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("value, message", [
+        (0.2, "f_work must lie in [0.25, 1], got 0.2"),
+        (math.nan, "f_work must lie in [0.25, 1], got nan"),
+        (True, "f_work must be a real number, got True"),
+        ("0.9", "f_work must be a real number, got '0.9'"),
+    ], ids=["below", "nan", "bool", "str"])
+    def test_bad_grid_value_keeps_its_message(self, value, message):
+        with pytest.raises(ValidationError) as excinfo:
+            optimize_working_fidelity(2, NOISE, "deutsch", [0.95, value], n_levels=4)
+        assert str(excinfo.value) == message
+
     def test_average_pairs_matches_report(self):
         # the sweep runs the level loop without building reports: every point must be
         # the report's value exactly, and every skipped point one that simulate rejects
@@ -519,7 +599,9 @@ class TestOptimize:
         (-1, "n_levels must be >= 1, got -1"),
         # rejected by logarithm, before 2 ** n_levels is formed
         (10 ** 6, "length ** n_levels (2 ** 1000000) exceeds float range"),
-    ], ids=["bool", "float", "zero", "negative", "beyond-float-range"])
+        # 1024 * log(2) rounds to log(float max), so only the exact test sees 2 ** 1024
+        (1024, "segment count N exceeds float range (at most 1.79769e+308)"),
+    ], ids=["bool", "float", "zero", "negative", "beyond-float-range", "at-float-max"])
     def test_level_count_rejected(self, n_levels, message):
         with pytest.raises(ValidationError) as excinfo:
             optimize_working_fidelity(2, NOISE, "deutsch", [0.95], n_levels=n_levels)
