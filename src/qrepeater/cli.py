@@ -231,12 +231,9 @@ def cmd_oracle_check(args) -> int:
     except NumericError as exc:  # an oracle output left the Bell-diagonal form
         print(f"FAIL: {exc}")
         return EXIT_CHECK_FAILED
-    worst_connect, worst_pf, worst_pp, worst_deutsch = deviations
-    print(f"connection fidelity     max |closed form - oracle| = {worst_connect:.3e}")
-    print(f"purification fidelity   max |closed form - oracle| = {worst_pf:.3e}")
-    print(f"purification p_succ     max |closed form - oracle| = {worst_pp:.3e}")
-    print(f"deutsch map             max |closed form - oracle| = {worst_deutsch:.3e}")
-    worst = max(worst_connect, worst_pf, worst_pp, worst_deutsch)
+    for name, deviation in zip(deviations.names, deviations):
+        print(f"{name:<24}max |closed form - oracle| = {deviation:.3e}")
+    worst = max(deviations)
     if worst > 1e-12:
         print(f"worst: {deviations.worst}")
         print(f"FAIL: max deviation {worst:.3e} exceeds 1e-12")

@@ -46,14 +46,13 @@ from .errors import (
     ValidationError,
     WorkingFidelityUnreachableError,
 )
-from .maps import PROTOCOLS, chain_coeffs, connect_L, purify_coeffs
+from .maps import chain_coeffs, connect_L, purify_coeffs, require_protocol
 from .states import (NoiseParams, checked_coeffs, require_in, require_int, require_real,
                      require_type, werner_coeffs)
 
 #: Least fidelity gain a purification step must make; a smaller one is a stall.
 _GAIN_EPS = 1e-13
 _MAX_STEPS = 10_000
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -189,11 +188,6 @@ def _stall_error(stalled: float, connected: float, f_work: float,
     )
 
 
-def _require_protocol(protocol: str) -> None:
-    if protocol not in PROTOCOLS:
-        raise ValidationError(f"unknown purification protocol {protocol!r}")
-
-
 def _level_map(state, length: int, noise: NoiseParams, f_work: float, scheme: str,
                protocol: str):
     """One nesting level: connect ``length`` copies of ``state``, purify back to ``f_work``.
@@ -297,7 +291,7 @@ def simulate(config: ProtocolConfig, protocol: str = "deutsch") -> RepeaterRepor
     (sequentially), while the sub-builds within one creation run in parallel
     across their spans.  A total beyond float range is infeasible at its level.
     """
-    _require_protocol(protocol)
+    require_protocol(protocol)
     pumped = config.scheme == "C"
     if not pumped:
         protocol = "bennett" if config.scheme == "A" else "deutsch"
@@ -352,17 +346,15 @@ def optimize_working_fidelity(length: int, noise: NoiseParams, protocol: str,
         raise ValidationError(f"n_levels must be >= 1, got {n_levels}")
     if length < 2:
         raise ValidationError(f"branching factor must be >= 2, got {length}")
-    # by logarithm, so that a huge n_levels builds no huge power before the check
-    if n_levels * math.log(length) > _LOG_FLOAT_MAX:
+    # length ** n_levels >= 2 ** (n_levels * (length.bit_length() - 1)), beyond float range
+    # from 2 ** max_exp on; below that bound the exact power has under 2 * max_exp bits
+    if (n_levels * (length.bit_length() - 1) >= sys.float_info.max_exp
+            or length ** n_levels > sys.float_info.max):
         raise ValidationError(
             f"length ** n_levels ({length} ** {n_levels}) exceeds float range"
         )
-    if length ** n_levels > sys.float_info.max:  # the exact range, past the logarithm's rounding
-        raise ValidationError(
-            f"segment count N exceeds float range (at most {sys.float_info.max:.6g})"
-        )
     require_type("noise", noise, NoiseParams)
-    _require_protocol(protocol)
+    require_protocol(protocol)
     scheme = "A" if protocol == "bennett" else "B"
     timing = TimingModel()
     curve: list[tuple[float, float]] = []

@@ -35,6 +35,13 @@ from .states import (BellDiagonalState, NoiseParams, checked_coeffs, require_in,
 #: The purification steps: twirl-based (Bennett et al.), rotation-based (Deutsch et al.).
 PROTOCOLS = ("bennett", "deutsch")
 
+
+def require_protocol(protocol: str) -> None:
+    """Raise :class:`ValidationError` unless ``protocol`` is one of :data:`PROTOCOLS`."""
+    if protocol not in PROTOCOLS:
+        raise ValidationError(f"unknown purification protocol {protocol!r}")
+
+
 _PSUCC_EPS = 1e-15
 
 #: Fidelities at which ``fixed_points`` scans for diagonal crossings: 750
@@ -148,7 +155,7 @@ def purify_coeffs(kept: Sequence[float], meas: Sequence[float],
         a, d, c, b = kept
         a2, d2, c2, b2 = meas
     else:
-        raise ValidationError(f"unknown purification protocol {protocol!r}")
+        require_protocol(protocol)  # raises: both protocols are handled above
 
     alpha, beta, gates_ok, floor = noise.purify_constants
     u_a = gates_ok * (a * (alpha * a2 + beta * c2) + b * (alpha * b2 + beta * d2)) + floor

@@ -69,14 +69,24 @@ its output.  Each step below is exact:
 Both circuits end in the Bell basis, and an output with an off-diagonal
 Bell-basis element above 1e-12 raises :class:`NumericError`.
 ``tests/test_oracle.py`` holds both circuits in the literal gate order,
-built with kron, as the dense reference they must match to 1e-13.  The
-closed-form maps in :mod:`qrepeater.maps` are required to agree with these
-routines to 1e-12; ``closed_form_deviations`` measures that on the grid
-behind ``qrepeater oracle-check`` and acceptance criterion 1.  This is the
-only module that needs numpy, and only the ``oracle-check`` subcommand
-imports it.
+built with kron, as the dense reference they must match to 1e-13.
+
+The kernels of :mod:`qrepeater.maps` that the engine runs must agree with
+these circuits to 1e-12.  ``closed_form_deviations``, behind ``qrepeater
+oracle-check`` and acceptance criterion 1, checks that on one grid that
+proves it everywhere, since both sides are polynomials: each output
+(``p_succ`` times the coefficients, in purification) is affine in each
+pair, of degree 2 in eta and in a Werner pair's fidelity F (connecting two),
+of degree 1 in p1 and p2 in connection, and of degree 2 in p2 and 0 in p1
+in purification.  The grid takes one node more than each degree, four
+affinely independent pairs and both purification steps: 516 circuits.
+This is the only module that needs numpy, and only the ``oracle-check``
+subcommand imports it.
 """
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
@@ -235,17 +245,6 @@ def _bell_diagonal(in_bell: np.ndarray) -> np.ndarray:
     return in_bell[::5].real.copy()
 
 
-def bell_coefficients(rho: np.ndarray) -> np.ndarray:
-    """Diagonal of a two-qubit density matrix in the Bell basis.
-
-    The closed forms carry only these four numbers, so a state with an
-    off-diagonal Bell-basis element above 1e-12 raises :class:`NumericError`.
-    """
-    if rho.shape != (4, 4):
-        raise ValidationError(f"expected a 4x4 matrix, got {rho.shape}")
-    return _bell_diagonal(_TO_BELL @ rho.reshape(16))
-
-
 def oracle_connect(pair_ab: BellDiagonalState, pair_bc: BellDiagonalState,
                    noise: NoiseParams, twirl_output: bool = True) -> BellDiagonalState:
     """Join two pairs by a noisy Bell measurement at the shared middle node.
@@ -290,8 +289,7 @@ def oracle_purify(kept: BellDiagonalState, sacrificed: BellDiagonalState,
     that both pairs are built from: the model leaves the one-qubit gate
     noise p1 out of purification, and each rotation acts within its own pair.
     """
-    if protocol not in maps.PROTOCOLS:
-        raise ValidationError(f"unknown purification protocol {protocol!r}")
+    maps.require_protocol(protocol)
     require_type("noise", noise, NoiseParams)
     require_type("kept", kept, BellDiagonalState)
     require_type("sacrificed", sacrificed, BellDiagonalState)
@@ -314,65 +312,62 @@ def oracle_purify(kept: BellDiagonalState, sacrificed: BellDiagonalState,
     return p_succ, BellDiagonalState(tuple(coeffs.tolist()))
 
 
-class Deviations(tuple):
-    """The four maxima of :func:`closed_form_deviations`, and ``worst``: where the largest is."""
+#: The check grid (module docstring): the pairs 0.15 + 0.4 e_i, and the nodes of the inputs
+#: of degree 1 (p1 and p2 in connection) and of degree 2 (the rest).
+_GRID_PAIRS = tuple(tuple(0.15 + 0.4 * (i == j) for j in range(4)) for i in range(4))
+_GRID_DEGREE_1 = (0.5, 1.0)
+_GRID_DEGREE_2 = (0.5, 0.75, 1.0)
 
+
+class Deviations(tuple):
+    """The maxima of :func:`closed_form_deviations`, one per map in ``names``, and ``worst``."""
+
+    names: tuple[str, ...]
     worst: str
 
 
 def closed_form_deviations() -> Deviations:
-    """Worst ``|closed form - oracle|`` on the check grid.
+    """Worst ``|closed form - oracle|`` of each kernel the engine runs, on the check grid.
 
-    Returns the maxima for connection fidelity, twirl-based purification
-    fidelity, its ``p_succ``, and the rotation-based map (all four
-    coefficients and ``p_succ``) on seeded random Bell-diagonal pairs.  Its
-    ``worst`` names the map and the case of the largest of the four.
+    ``connect_coeffs`` (all coefficients) and both steps of ``purify_coeffs``
+    (``p_succ`` and coefficients, at p1 = 1) on every two grid pairs, and
+    ``connect_L(F, 2, noise)`` on two Werner pairs; a NaN counts as infinite.
+    ``worst`` names the map and the node: the indices i of its pairs, or F.
     """
-    worst = {name: (0.0, "") for name in
-             ("connection fidelity", "purification fidelity", "purification p_succ",
-              "deutsch map")}
+    found: dict[str, tuple[float, str]] = {}
 
-    def record(name, deviation, case, noise):
-        if deviation > worst[name][0]:
-            worst[name] = (deviation, f"{case}, p1={noise.p1:g} p2={noise.p2:g} "
+    def record(name, node, noise, got, want):
+        gaps = [abs(a - b) for a, b in zip(got, want)]
+        deviation = math.inf if any(map(math.isnan, gaps)) else max(gaps)
+        if name not in found or deviation > found[name][0]:
+            found[name] = (deviation, f"{node}, p1={noise.p1:g} p2={noise.p2:g} "
                                       f"eta={noise.eta:g}")
 
-    fidelities = (0.55, 0.7, 0.85, 0.97)
-    values = (1.0, 0.995, 0.99, 0.97)
-    for f in fidelities:
+    pairs = list(enumerate(BellDiagonalState(pair) for pair in _GRID_PAIRS))
+    connect_noises = [NoiseParams(*node) for node in
+                      itertools.product(_GRID_DEGREE_1, _GRID_DEGREE_1, _GRID_DEGREE_2)]
+    for (i, first), (j, second) in itertools.product(pairs, repeat=2):
+        for noise in connect_noises:
+            got = oracle_connect(first, second, noise, twirl_output=False).coeffs
+            record("connection coefficients", f"pairs (e{i}, e{j})", noise, got,
+                   maps.connect_coeffs(first.coeffs, second.coeffs, noise))
+    for f in _GRID_DEGREE_2:
         werner = BellDiagonalState(werner_coeffs(f))
-        for p1 in values:
-            for p2 in values:
-                for eta in values:
-                    noise = NoiseParams(p1, p2, eta)
-                    got = oracle_connect(werner, werner, noise).fidelity
-                    want = maps.connect_L(f, 2, noise)
-                    record("connection fidelity", abs(got - want), f"F={f:g}", noise)
-        for p2 in values:
-            for eta in values:
+        for noise in connect_noises:
+            got = oracle_connect(werner, werner, noise, twirl_output=False).fidelity
+            record("connection fidelity", f"F={f:g}", noise, (got,),
+                   (maps.connect_L(f, 2, noise),))
+    for protocol in maps.PROTOCOLS:
+        for (i, kept), (j, sacrificed) in itertools.product(pairs, repeat=2):
+            for p2, eta in itertools.product(_GRID_DEGREE_2, _GRID_DEGREE_2):
                 noise = NoiseParams(1.0, p2, eta)
-                p_succ, out = oracle_purify(werner, werner, noise, "bennett")
-                ref = maps.purify_bennett(f, noise)
-                record("purification fidelity", abs(out.fidelity - ref.out_fidelity),
-                       f"F={f:g}", noise)
-                record("purification p_succ", abs(p_succ - ref.p_succ), f"F={f:g}", noise)
+                p_succ, out = oracle_purify(kept, sacrificed, noise, protocol)
+                want_p, want = maps.purify_coeffs(kept.coeffs, sacrificed.coeffs, noise, protocol)
+                record(f"{protocol} purification", f"pairs (e{i}, e{j})", noise,
+                       (p_succ, *out.coeffs), (want_p, *want))
 
-    rng = np.random.default_rng(20240817)
-    for index in range(8):
-        v1 = rng.random(4)
-        v2 = rng.random(4)
-        s1 = BellDiagonalState(tuple(v1 / v1.sum()))
-        s2 = BellDiagonalState(tuple(v2 / v2.sum()))
-        for p2 in (1.0, 0.995, 0.97):
-            for eta in (1.0, 0.995, 0.97):
-                noise = NoiseParams(1.0, p2, eta)
-                p_succ, out = oracle_purify(s1, s2, noise, "deutsch")
-                ref, out_cf = maps.purify_with_aux(s1, s2, noise, "deutsch")
-                dev = max(abs(a - b) for a, b in zip(out.coeffs, out_cf.coeffs))
-                record("deutsch map", max(dev, abs(p_succ - ref.p_succ)),
-                       f"random pair {index}", noise)
-
-    deviations = Deviations(deviation for deviation, _ in worst.values())
-    name = max(worst, key=lambda key: worst[key][0])
-    deviations.worst = f"{name} at {worst[name][1]}"
+    deviations = Deviations(deviation for deviation, _ in found.values())
+    deviations.names = tuple(found)
+    name = max(found, key=lambda key: found[key][0])
+    deviations.worst = f"{name} at {found[name][1]}"
     return deviations

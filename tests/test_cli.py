@@ -517,15 +517,53 @@ class TestOracleCheck:
     def test_perturbed_map_fails(self, capsys, monkeypatch):
         from qrepeater import maps
 
-        exact = maps.connect_L
-        monkeypatch.setattr(maps, "connect_L", lambda f, length, noise:
-                            exact(f, length, noise) + 1e-9)
+        exact = maps.connect_coeffs
+        monkeypatch.setattr(maps, "connect_coeffs", lambda ab, bc, noise:
+                            tuple(c + 1e-9 for c in exact(ab, bc, noise)))
         code, out, _ = run_cli(capsys, "oracle-check")
         assert code == 1
         assert out.splitlines()[-1] == "FAIL: max deviation 1.000e-09 exceeds 1e-12"
-        # the line before names the map and the case; every case is off by 1e-9
-        assert re.fullmatch(r"worst: connection fidelity at F=0\.(55|7|85|97), "
+        # the line before names the map and the grid node; every node is off by 1e-9
+        assert re.fullmatch(r"worst: connection coefficients at pairs \(e[0-3], e[0-3]\), "
                             r"p1=[.0-9]+ p2=[.0-9]+ eta=[.0-9]+", out.splitlines()[-2])
+
+    @pytest.mark.parametrize("kernel, name", [
+        ("connect_coeffs", "connection coefficients"),
+        ("purify_coeffs", "bennett purification"),
+    ])
+    def test_swapped_coefficients_fail(self, capsys, monkeypatch, kernel, name):
+        # coefficients 1 and 2 swapped in connection, or in the twirl-based step: both are
+        # equal on Werner pairs, so only a check on non-Werner pairs sees the swap
+        from qrepeater import maps
+
+        def swapped(coeffs):
+            a, b, c, d = coeffs
+            return a, c, b, d
+
+        exact = getattr(maps, kernel)
+
+        def mutant(*args):
+            out = exact(*args)
+            if kernel == "connect_coeffs":
+                return swapped(out)
+            p_succ, coeffs = out
+            return p_succ, swapped(coeffs) if args[-1] == "bennett" else coeffs
+
+        monkeypatch.setattr(maps, kernel, mutant)
+        code, out, _ = run_cli(capsys, "oracle-check")
+        assert code == 1
+        assert out.splitlines()[-2].startswith(f"worst: {name} at pairs (e")
+        assert out.splitlines()[-1].startswith("FAIL: max deviation ")
+
+    def test_nan_closed_form_fails(self, capsys, monkeypatch):
+        # a NaN deviation counts as infinite, so a closed form gone NaN fails and is named
+        from qrepeater import maps
+
+        monkeypatch.setattr(maps, "connect_L", lambda f, length, noise: math.nan)
+        code, out, _ = run_cli(capsys, "oracle-check")
+        assert code == 1
+        assert out.splitlines()[-2].startswith("worst: connection fidelity at F=")
+        assert out.splitlines()[-1] == "FAIL: max deviation inf exceeds 1e-12"
 
     def test_non_bell_diagonal_oracle_state_fails_in_one_line(self, capsys, monkeypatch):
         import numpy as np

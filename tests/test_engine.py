@@ -597,15 +597,21 @@ class TestOptimize:
         (1.0, "n_levels must be an int, got 1.0"),
         (0, "n_levels must be >= 1, got 0"),
         (-1, "n_levels must be >= 1, got -1"),
-        # rejected by logarithm, before 2 ** n_levels is formed
+        # rejected by its bit length, before 2 ** n_levels is formed
         (10 ** 6, "length ** n_levels (2 ** 1000000) exceeds float range"),
-        # 1024 * log(2) rounds to log(float max), so only the exact test sees 2 ** 1024
-        (1024, "segment count N exceeds float range (at most 1.79769e+308)"),
+        # 1024 * log(2) rounds to log(float max): a logarithmic test would let 2 ** 1024 by
+        (1024, "length ** n_levels (2 ** 1024) exceeds float range"),
     ], ids=["bool", "float", "zero", "negative", "beyond-float-range", "at-float-max"])
     def test_level_count_rejected(self, n_levels, message):
         with pytest.raises(ValidationError) as excinfo:
             optimize_working_fidelity(2, NOISE, "deutsch", [0.95], n_levels=n_levels)
         assert str(excinfo.value) == message
+
+    def test_power_beyond_float_range_rejected_exactly(self):
+        # 3 ** 647 ~ 5e308 has 1026 bits, though 647 * (bits of 3 - 1) is below 1024
+        with pytest.raises(ValidationError) as excinfo:
+            optimize_working_fidelity(3, NOISE, "deutsch", [0.95], n_levels=647)
+        assert str(excinfo.value) == "length ** n_levels (3 ** 647) exceeds float range"
 
 
 def test_analytic_layers_load_without_numpy_or_oracle():

@@ -390,7 +390,7 @@ class TestTwoQubitNoise:
         bell = orc.bell_diagonal_to_dm(BellDiagonalState((1.0, 0.0, 0.0, 0.0)))
         out = from_flat_pairs(purification_state(bell, np.diag([1.0, 0.0, 0.0, 0.0]), 0.99),
                               (0, 2))
-        weight = orc.bell_coefficients(dense_partial_trace(out, (0, 1)))[0]
+        weight = bell_diagonal(dense_partial_trace(out, (0, 1)))[0]
         assert weight == pytest.approx(0.495025, abs=1e-12)
 
 
@@ -530,15 +530,20 @@ def bell_basis_state(coeffs, coherence=None):
     return orc._BELL @ in_bell @ orc._BELL.conj().T
 
 
+def checked_bell_diagonal(rho):
+    """The circuits' final check, on a 4 x 4 density matrix."""
+    return orc._bell_diagonal(orc._TO_BELL @ rho.reshape(16))
+
+
 class TestBellDiagonalCheck:
     @given(bell_weights)
     def test_bell_diagonal_state_passes(self, coeffs):
-        got = orc.bell_coefficients(bell_basis_state(coeffs))
+        got = checked_bell_diagonal(bell_basis_state(coeffs))
         assert np.abs(got - coeffs).max() <= 1e-15
 
     def test_nan_state_trips_the_check(self):
         with pytest.raises(NumericError, match="not Bell-diagonal"):
-            orc.bell_coefficients(np.full((4, 4), np.nan))
+            checked_bell_diagonal(np.full((4, 4), np.nan))
 
     @given(bell_weights, st.sampled_from(list(itertools.combinations(range(4), 2))),
            st.floats(1e-8, 1.0), st.floats(0.0, 2 * np.pi))
@@ -548,7 +553,7 @@ class TestBellDiagonalCheck:
         rho = bell_basis_state(coeffs, (j, k, z))
         assert np.linalg.eigvalsh(rho).min() >= -1e-12  # still a state
         with pytest.raises(NumericError, match="not Bell-diagonal"):
-            orc.bell_coefficients(rho)
+            checked_bell_diagonal(rho)
 
 
 # Dense reference circuits: both circuits spelled out gate by gate with the
@@ -652,43 +657,61 @@ class TestCircuitsAgainstDenseReference:
         assert len(dropped) == 16 and all(count == 2 for count in dropped)
 
 
-#: Four affinely independent interior Bell vectors, 0.15 + 0.4 e_i.
-GRID_PAIRS = [BellDiagonalState(tuple(0.15 + 0.4 * e)) for e in np.eye(4)]
-GRID_ETAS = (0.5, 0.75, 1.0)
-
-
 class TestClosedFormsOnTheGrid:
-    """The closed forms against the oracle on a grid as fine as their degrees.
+    """The shipped check runs a grid as fine as the closed forms' degrees.
 
     Each pair enters both sides affinely (purification's ``p_succ`` and
     ``p_succ`` times its vector); eta enters with degree 2, p2 with degree 1
-    in connection and 2 in purification, and p1 with degree 1 in connection
-    only.  The grid has one node more than each degree: non-Werner pairs,
-    ``p1 < 1`` in connection, and both purification steps.
+    in connection and 2 in purification, p1 with degree 1 in connection only,
+    and a Werner pair's fidelity with degree 2 in a connection of two.  So a
+    tensor grid with one node more than each degree, affinely independent
+    pairs, and both purification steps makes equality there equality
+    everywhere.  The calls ``closed_form_deviations`` makes are read off the
+    circuits, so the test holds the shipped grid, not a copy of it.
     """
 
-    def test_connection_full_vector(self):
-        deviations = []
-        for first, second in itertools.product(GRID_PAIRS, repeat=2):
-            for p1, p2, eta in itertools.product((0.5, 1.0), (0.5, 1.0), GRID_ETAS):
-                noise = NoiseParams(p1, p2, eta)
-                out = orc.oracle_connect(first, second, noise, twirl_output=False)
-                want = maps.connect_coeffs(first.coeffs, second.coeffs, noise)
-                deviations.append(np.abs(np.array(out.coeffs) - want).max())
-        assert len(deviations) == 192 and max(deviations) <= 1e-12
+    @staticmethod
+    def tensor_nodes(calls, degrees):
+        """Each input's nodes, checked to hold one more than its degree and to span ``calls``."""
+        assert len(set(calls)) == len(calls)
+        nodes = [sorted({call[k] for call in calls}) for k in range(len(degrees))]
+        assert [len(values) for values in nodes] == [degree + 1 for degree in degrees]
+        assert set(calls) == set(itertools.product(*nodes))
+        return nodes
 
-    def test_purification_vector_and_success_probability(self):
-        deviations = []
-        for protocol in maps.PROTOCOLS:
-            for first, second in itertools.product(GRID_PAIRS, repeat=2):
-                for p2, eta in itertools.product((0.5, 0.75, 1.0), GRID_ETAS):
-                    noise = NoiseParams(1.0, p2, eta)
-                    p_succ, out = orc.oracle_purify(first, second, noise, protocol)
-                    want_p, want = maps.purify_coeffs(first.coeffs, second.coeffs, noise,
-                                                      protocol)
-                    deviations.append(max(abs(p_succ - want_p),
-                                          np.abs(np.array(out.coeffs) - want).max()))
-        assert len(deviations) == 288 and max(deviations) <= 1e-12
+    def test_shipped_grid_is_degree_sufficient(self, monkeypatch):
+        connects, purifies = [], []
+        oracle_connect, oracle_purify = orc.oracle_connect, orc.oracle_purify
+
+        def connect_spy(first, second, noise, **options):
+            connects.append((first.coeffs, second.coeffs, noise.p1, noise.p2, noise.eta))
+            return oracle_connect(first, second, noise, **options)
+
+        def purify_spy(kept, sacrificed, noise, protocol):
+            purifies.append((kept.coeffs, sacrificed.coeffs, noise.p1, noise.p2, noise.eta,
+                             protocol))
+            return oracle_purify(kept, sacrificed, noise, protocol)
+
+        monkeypatch.setattr(orc, "oracle_connect", connect_spy)
+        monkeypatch.setattr(orc, "oracle_purify", purify_spy)
+        deviations = orc.closed_form_deviations()
+        assert max(deviations) <= 1e-12
+        assert len(connects) == 228 and len(purifies) == 288
+
+        # purification: the two pairs (affine, so 4 nodes each), p1 (degree 0), p2 and eta
+        # (2), and both protocols; pair vectors summing to 1 are affinely independent when
+        # they are linearly independent
+        kept, sacrificed, p1, *_, protocols = self.tensor_nodes(purifies, (3, 3, 0, 2, 2, 1))
+        assert kept == sacrificed and np.linalg.matrix_rank(np.array(kept)) == 4
+        assert p1 == [1.0] and protocols == sorted(maps.PROTOCOLS)
+        # connection on the same pairs: p1 and p2 (1), eta (2)
+        on_pairs = [call for call in connects if {call[0], call[1]} <= set(kept)]
+        noise_nodes = self.tensor_nodes(on_pairs, (3, 3, 1, 1, 2))[2:]
+        # the rest: two equal Werner pairs, whose fidelity (2) runs on the same noise nodes
+        werner = [call for call in connects if call not in on_pairs]
+        assert all(first == second and len(set(first[1:])) == 1 for first, second, *_ in werner)
+        by_fidelity = [(first[0], *noise) for first, _, *noise in werner]
+        assert self.tensor_nodes(by_fidelity, (2, 1, 1, 2))[1:] == noise_nodes
 
 
 class TestRealArithmetic:
