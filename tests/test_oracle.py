@@ -679,7 +679,9 @@ class TestClosedFormsOnTheGrid:
         assert set(calls) == set(itertools.product(*nodes))
         return nodes
 
-    def test_shipped_grid_is_degree_sufficient(self, monkeypatch):
+    @staticmethod
+    def run_shipped_check(monkeypatch):
+        """The check's worst deviation per map, and the circuit calls it made."""
         connects, purifies = [], []
         oracle_connect, oracle_purify = orc.oracle_connect, orc.oracle_purify
 
@@ -695,23 +697,37 @@ class TestClosedFormsOnTheGrid:
         monkeypatch.setattr(orc, "oracle_connect", connect_spy)
         monkeypatch.setattr(orc, "oracle_purify", purify_spy)
         deviations = orc.closed_form_deviations()
-        assert max(deviations) <= 1e-12
-        assert len(connects) == 228 and len(purifies) == 288
+        return dict(zip(deviations.names, deviations)), connects, purifies
 
-        # purification: the two pairs (affine, so 4 nodes each), p1 (degree 0), p2 and eta
-        # (2), and both protocols; pair vectors summing to 1 are affinely independent when
-        # they are linearly independent
-        kept, sacrificed, p1, *_, protocols = self.tensor_nodes(purifies, (3, 3, 0, 2, 2, 1))
-        assert kept == sacrificed and np.linalg.matrix_rank(np.array(kept)) == 4
-        assert p1 == [1.0] and protocols == sorted(maps.PROTOCOLS)
-        # connection on the same pairs: p1 and p2 (1), eta (2)
-        on_pairs = [call for call in connects if {call[0], call[1]} <= set(kept)]
-        noise_nodes = self.tensor_nodes(on_pairs, (3, 3, 1, 1, 2))[2:]
+    def test_connection_full_vector(self, monkeypatch):
+        worst, connects, _ = self.run_shipped_check(monkeypatch)
+        assert worst["connection coefficients"] <= 1e-12
+        assert worst["connection fidelity"] <= 1e-12
+        # the grid pairs are affinely independent (linearly, as each sums to 1); on them
+        # connection runs p1 and p2 (degree 1) and eta (2)
+        pairs = set(orc._GRID_PAIRS)
+        assert len(pairs) == 4 and np.linalg.matrix_rank(np.array(sorted(pairs))) == 4
+        on_pairs = [call for call in connects if {call[0], call[1]} <= pairs]
+        assert len(on_pairs) == 192
+        first, second, *noise_nodes = self.tensor_nodes(on_pairs, (3, 3, 1, 1, 2))
+        assert first == second == sorted(pairs)
         # the rest: two equal Werner pairs, whose fidelity (2) runs on the same noise nodes
         werner = [call for call in connects if call not in on_pairs]
+        assert len(werner) == 36
         assert all(first == second and len(set(first[1:])) == 1 for first, second, *_ in werner)
         by_fidelity = [(first[0], *noise) for first, _, *noise in werner]
         assert self.tensor_nodes(by_fidelity, (2, 1, 1, 2))[1:] == noise_nodes
+
+    def test_purification_vector_and_success_probability(self, monkeypatch):
+        worst, _, purifies = self.run_shipped_check(monkeypatch)
+        assert all(worst[f"{protocol} purification"] <= 1e-12 for protocol in maps.PROTOCOLS)
+        assert len(purifies) == 288
+        # the two pairs (affine, so 4 nodes each), p1 (degree 0), p2 and eta (2), and
+        # both protocols
+        kept, sacrificed, p1, *_, protocols = self.tensor_nodes(purifies, (3, 3, 0, 2, 2, 1))
+        assert kept == sacrificed == sorted(orc._GRID_PAIRS)
+        assert np.linalg.matrix_rank(np.array(kept)) == 4
+        assert p1 == [1.0] and protocols == sorted(maps.PROTOCOLS)
 
 
 class TestRealArithmetic:
