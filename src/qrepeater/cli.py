@@ -59,6 +59,8 @@ def _parse_grid(spec: str) -> list[float]:
     n = int(round(span))
     points = [start + i * step for i in range(n + 1)]
     points = [p for p in points if p <= stop + step * 1e-9]
+    if any(a >= b for a, b in zip(points, points[1:])):
+        raise ValidationError(f"grid {spec!r} repeats points: its step is below float resolution")
     if not (0.25 <= points[0] and points[-1] <= 1.0):
         raise ValidationError(f"--grid values must lie in [0.25, 1], got {spec!r}")
     return points
@@ -231,11 +233,12 @@ def cmd_oracle_check(args) -> int:
     except NumericError as exc:  # an oracle output left the Bell-diagonal form
         print(f"FAIL: {exc}")
         return EXIT_CHECK_FAILED
-    for name, deviation in zip(deviations.names, deviations):
+    for name, (deviation, _) in deviations.items():
         print(f"{name:<24}max |closed form - oracle| = {deviation:.3e}")
-    worst = max(deviations)
+    name = max(deviations, key=lambda key: deviations[key][0])
+    worst, node = deviations[name]
     if worst > 1e-12:
-        print(f"worst: {deviations.worst}")
+        print(f"worst: {name} at {node}")
         print(f"FAIL: max deviation {worst:.3e} exceeds 1e-12")
         return EXIT_CHECK_FAILED
     print("PASS: all deviations within 1e-12")

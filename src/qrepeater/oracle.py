@@ -91,7 +91,7 @@ import math
 import numpy as np
 
 from . import maps
-from .errors import DegeneratePostSelectionError, NumericError, ValidationError
+from .errors import DegeneratePostSelectionError, NumericError
 from .states import BellDiagonalState, NoiseParams, require_type, werner_coeffs
 
 I2 = np.eye(2)
@@ -223,14 +223,6 @@ def _readings(outcomes: np.ndarray, eta: float, p: float = 1.0):
     return weights, probs
 
 
-def bell_diagonal_to_dm(state) -> np.ndarray:
-    """4x4 density matrix of a Bell-diagonal state; a (..., 4) coefficient array gives a stack."""
-    coeffs = np.asarray(state.coeffs if isinstance(state, BellDiagonalState) else state)
-    if coeffs.shape[-1:] != (4,):
-        raise ValidationError(f"expected Bell coefficient vectors, got shape {coeffs.shape}")
-    return (coeffs[..., None, :] @ _BELL_PROJECTORS).reshape(coeffs.shape[:-1] + (4, 4))
-
-
 def _bell_diagonal(in_bell: np.ndarray) -> np.ndarray:
     """The diagonal of a flat 4 x 4 matrix in the Bell basis, checked to be all it holds.
 
@@ -319,20 +311,14 @@ _GRID_DEGREE_1 = (0.5, 1.0)
 _GRID_DEGREE_2 = (0.5, 0.75, 1.0)
 
 
-class Deviations(tuple):
-    """The maxima of :func:`closed_form_deviations`, one per map in ``names``, and ``worst``."""
-
-    names: tuple[str, ...]
-    worst: str
-
-
-def closed_form_deviations() -> Deviations:
+def closed_form_deviations() -> dict[str, tuple[float, str]]:
     """Worst ``|closed form - oracle|`` of each kernel the engine runs, on the check grid.
 
     ``connect_coeffs`` (all coefficients) and both steps of ``purify_coeffs``
     (``p_succ`` and coefficients, at p1 = 1) on every two grid pairs, and
     ``connect_L(F, 2, noise)`` on two Werner pairs; a NaN counts as infinite.
-    ``worst`` names the map and the node: the indices i of its pairs, or F.
+    Returns, in check order, each map's label -> (its worst deviation, the
+    node where it occurs: the indices i of its pairs, or F, and the noise).
     """
     found: dict[str, tuple[float, str]] = {}
 
@@ -365,9 +351,4 @@ def closed_form_deviations() -> Deviations:
                 want_p, want = maps.purify_coeffs(kept.coeffs, sacrificed.coeffs, noise, protocol)
                 record(f"{protocol} purification", f"pairs (e{i}, e{j})", noise,
                        (p_succ, *out.coeffs), (want_p, *want))
-
-    deviations = Deviations(deviation for deviation, _ in found.values())
-    deviations.names = tuple(found)
-    name = max(found, key=lambda key: found[key][0])
-    deviations.worst = f"{name} at {found[name][1]}"
-    return deviations
+    return found

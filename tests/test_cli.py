@@ -65,6 +65,8 @@ class TestConnectCurve:
         # 0.5 / 5e-6 steps make 100001 points, one over the cap; without the
         # cap this grid would still build only those points
         "0.5:1.0:0.000005",
+        # a step below the float spacing near 0.5 used to give 12 rows of two values
+        "0.5:0.5000000000000001:1e-17",
     ])
     def test_non_finite_or_oversized_grid_rejected(self, capsys, grid):
         code, out, err = run_cli(capsys, "connect-curve", "--grid", grid)

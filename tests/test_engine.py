@@ -591,6 +591,13 @@ class TestOptimize:
                              str(from_simulate.value))
         assert match and from_simulate.value.level == int(match.group(1))
         assert str(from_sweep.value) == "no feasible working fidelity on the grid [0.9, 0.9]"
+        # the time total overflows alone: a 1e308 s operation, taken more than once at level 1
+        timed = ProtocolConfig(n_segments=4, length=2, scheme="B", f_init=0.96, f_work=0.96,
+                               noise=NOISE, timing=TimingModel(tau_op=1e308))
+        with pytest.raises(InfeasibleError) as from_time:
+            simulate(timed, "deutsch")
+        assert str(from_time.value) == "level 1: total_time exceeds float range"
+        assert from_time.value.level == 1
 
     @pytest.mark.parametrize("n_levels, message", [
         (True, "n_levels must be an int, got True"),

@@ -190,8 +190,6 @@ seeds = st.integers(0, 2 ** 32 - 1)
 # below the positivity limit sqrt(c_j c_k)
 bell_weights = st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4).map(
     lambda w: np.array(w) / sum(w))
-#: leading stack shapes of bell_diagonal_to_dm's input: one vector, three, and a 2 x 3 stack
-stacks = st.sampled_from([(), (3,), (2, 3)])
 # a register of 2..4 qubits and an ordering of its qubits to draw targets from
 registers = st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), st.permutations(range(n))))
 gate_weights = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
@@ -292,16 +290,6 @@ class TestAgainstDenseReference:
         want = dense_partial_trace(rho, tuple(q for q in range(n) if q not in targets))
         assert np.abs(branches.sum(axis=0) - want).max() <= 1e-13
 
-    @given(st.lists(bell_weights, min_size=6, max_size=6), stacks)
-    def test_bell_diagonal_to_dm(self, weights, stack):
-        coeffs = np.array(weights[:int(np.prod(stack))]).reshape(stack + (4,))
-        got = orc.bell_diagonal_to_dm(coeffs)
-        assert got.shape == stack + (4, 4)
-        for i in np.ndindex(stack):
-            assert np.abs(got[i] - dense_bell_state(coeffs[i])).max() <= 1e-13
-            state = BellDiagonalState(tuple(coeffs[i].tolist()))
-            assert np.array_equal(orc.bell_diagonal_to_dm(state), got[i])
-
 
 class TestFoldedConstants:
     """The basis changes the oracle builds at import, against the kron-built reference."""
@@ -387,7 +375,7 @@ class TestTwoQubitNoise:
         # frozen from a direct evaluation of the noise model: the CNOTs copy the kept
         # phi+ onto |00>, whose trace leaves (|00><00| + |11><11|)/2, phi+ weight 1/2;
         # every noise term leaves I/4, weight 1/4: 0.99**2 / 2 + (1 - 0.99**2) / 4
-        bell = orc.bell_diagonal_to_dm(BellDiagonalState((1.0, 0.0, 0.0, 0.0)))
+        bell = dense_bell_state((1.0, 0.0, 0.0, 0.0))
         out = from_flat_pairs(purification_state(bell, np.diag([1.0, 0.0, 0.0, 0.0]), 0.99),
                               (0, 2))
         weight = bell_diagonal(dense_partial_trace(out, (0, 1)))[0]
@@ -611,8 +599,8 @@ class TestCircuitsAgainstDenseReference:
     def test_connect(self, first, second, noise):
         pair_1, pair_2 = BellDiagonalState(tuple(first)), BellDiagonalState(tuple(second))
         got = orc.oracle_connect(pair_1, pair_2, noise, twirl_output=False)
-        want = bell_diagonal(dense_connect(orc.bell_diagonal_to_dm(pair_1),
-                                           orc.bell_diagonal_to_dm(pair_2), noise))
+        want = bell_diagonal(dense_connect(dense_bell_state(pair_1.coeffs),
+                                           dense_bell_state(pair_2.coeffs), noise))
         assert np.abs(np.array(got.coeffs) - want).max() <= 1e-13
 
     @pytest.mark.parametrize("protocol", ["bennett", "deutsch"])
@@ -622,8 +610,8 @@ class TestCircuitsAgainstDenseReference:
     def test_purify(self, protocol, first, second, noise):
         kept, sacrificed = BellDiagonalState(tuple(first)), BellDiagonalState(tuple(second))
         p_succ, out = orc.oracle_purify(kept, sacrificed, noise, protocol)
-        want_p, want = dense_purify(orc.bell_diagonal_to_dm(kept),
-                                    orc.bell_diagonal_to_dm(sacrificed), noise, protocol)
+        want_p, want = dense_purify(dense_bell_state(kept.coeffs),
+                                    dense_bell_state(sacrificed.coeffs), noise, protocol)
         assert abs(p_succ - want_p) <= 1e-13
         assert np.abs(np.array(out.coeffs) - bell_diagonal(want)).max() <= 1e-13
 
@@ -644,7 +632,7 @@ class TestCircuitsAgainstDenseReference:
         monkeypatch.setattr(orc, "_readings", spy)
         for kept, sacrificed in itertools.product(np.eye(4), repeat=2):
             states = BellDiagonalState(tuple(kept)), BellDiagonalState(tuple(sacrificed))
-            matrices = [orc.bell_diagonal_to_dm(state) for state in states]
+            matrices = [dense_bell_state(state.coeffs) for state in states]
             with np.errstate(divide="ignore", invalid="ignore"):  # p_succ 0 divides by 0
                 want_p, want = dense_purify(*matrices, PERFECT, protocol)
             if want_p < 1e-15:
@@ -696,8 +684,8 @@ class TestClosedFormsOnTheGrid:
 
         monkeypatch.setattr(orc, "oracle_connect", connect_spy)
         monkeypatch.setattr(orc, "oracle_purify", purify_spy)
-        deviations = orc.closed_form_deviations()
-        return dict(zip(deviations.names, deviations)), connects, purifies
+        worst = {name: deviation for name, (deviation, _) in orc.closed_form_deviations().items()}
+        return worst, connects, purifies
 
     def test_connection_full_vector(self, monkeypatch):
         worst, connects, _ = self.run_shipped_check(monkeypatch)
