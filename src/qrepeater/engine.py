@@ -46,7 +46,7 @@ from .errors import (
     ValidationError,
     WorkingFidelityUnreachableError,
 )
-from .maps import chain_coeffs, connect_L, purify_coeffs, require_protocol
+from .maps import chain_coeffs, connect_L, purify_coeffs, require_protocol, werner_step
 from .states import (NoiseParams, checked_coeffs, require_in, require_int, require_real,
                      require_type, werner_coeffs)
 
@@ -193,39 +193,45 @@ def _level_map(state, length: int, noise: NoiseParams, f_work: float, scheme: st
     """One nesting level: connect ``length`` copies of ``state``, purify back to ``f_work``.
 
     ``state`` is a checked coefficient 4-tuple, ``protocol`` the one the purification
-    steps run.  Scheme A projects the connected pair and every step's output to Werner
-    form; scheme C purifies with a re-created connected pair instead of a parallel copy.
+    steps run.  Scheme A projects to Werner form after every map, so it carries a
+    range-checked fidelity through ``connect_L`` and ``werner_step`` (``purify_coeffs``
+    there, bit for bit) and builds its 4-tuple at the end; scheme C purifies with a
+    re-created connected pair instead of a parallel copy.
     Every kernel output is checked; a step that gains nothing raises
     :func:`_stall_error`, and more than ``_MAX_STEPS`` steps an :class:`InfeasibleError`.
     Returns ``(state, connected_fidelity, p_succ, copies)``: ``copies`` is ``M``, the
     product of ``2 / p_succ`` over the steps taken left to right from 1.0, or
     ``1 + steps`` in scheme C.
     """
-    pumped = scheme == "C"
-    if scheme == "A":
-        connected = werner_coeffs(connect_L(state[0], length, noise))
+    pumped, werner = scheme == "C", scheme == "A"
+    if werner:
+        connected = require_in("Werner fidelity", connect_L(state[0], length, noise), 0.25, 1.0)
     else:
-        connected = chain_coeffs(state, length, noise)
+        state = aux = chain_coeffs(state, length, noise)
+        connected = state[0]
     # overshoot past f_work is allowed and recorded
-    state, fidelity, p_succ, copies = connected, connected[0], [], 1.0
+    fidelity, p_succ, copies = connected, [], 1.0
     while fidelity < f_work:
         if len(p_succ) >= _MAX_STEPS:  # reachable just inside the saddle node
             raise InfeasibleError(
                 f"purification did not reach the working fidelity {f_work} "
                 f"within {_MAX_STEPS} steps"
             )
-        p, out = purify_coeffs(state, connected if pumped else state, noise, protocol)
-        purified = checked_coeffs(out)
-        if scheme == "A":
-            purified = werner_coeffs(purified[0])
-        if purified[0] <= fidelity + _GAIN_EPS:
-            raise _stall_error(fidelity, connected[0], f_work, pumped)
+        if werner:
+            p, purified = werner_step(fidelity, noise)
+            purified = require_in("Werner fidelity", purified, 0.25, 1.0)
+        else:
+            p, out = purify_coeffs(state, aux if pumped else state, noise, protocol)
+            state = checked_coeffs(out)
+            purified = state[0]
+        if purified <= fidelity + _GAIN_EPS:
+            raise _stall_error(fidelity, connected, f_work, pumped)
         p_succ.append(p)
         copies *= 2.0 / p
-        state, fidelity = purified, purified[0]
-    if pumped:
-        copies = 1.0 + len(p_succ)
-    return state, connected[0], p_succ, copies
+        fidelity = purified
+    if werner:
+        state = werner_coeffs(fidelity)
+    return state, connected, p_succ, 1.0 + len(p_succ) if pumped else copies
 
 
 def _run_levels(f_init: float, n_levels: int, length: int, noise: NoiseParams,

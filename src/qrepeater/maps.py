@@ -13,7 +13,9 @@ normalization denominators of the noiseless maps.
 
 Each map is one kernel on coefficient 4-tuples (``connect_coeffs``, its closed
 form for a chain of equal pairs ``chain_coeffs``, ``purify_coeffs``) that the
-state-object and fidelity maps wrap; every output they use passes ``checked_coeffs``.
+state-object maps wrap; every output they use passes ``checked_coeffs``.  On Werner
+pairs (scheme A, the fidelity maps) purification runs ``werner_step``: ``purify_coeffs``
+on scalars, in the same operation order, so its outputs equal the kernel's bit for bit.
 Iterating purification up to a working fidelity is the level loop of
 :func:`qrepeater.engine.simulate`.
 """
@@ -29,8 +31,8 @@ from .errors import (
     PurificationImpossibleError,
     ValidationError,
 )
-from .states import (BellDiagonalState, NoiseParams, checked_coeffs, require_in, require_int,
-                     require_type, werner_coeffs)
+from .states import (COEFF_ATOL, BellDiagonalState, NoiseParams, checked_coeffs, require_in,
+                     require_int, require_type)
 
 #: The purification steps: twirl-based (Bennett et al.), rotation-based (Deutsch et al.).
 PROTOCOLS = ("bennett", "deutsch")
@@ -43,6 +45,7 @@ def require_protocol(protocol: str) -> None:
 
 
 _PSUCC_EPS = 1e-15
+_VANISHING = "purification post-selection has vanishing success probability"
 
 #: Fidelities at which ``fixed_points`` scans for diagonal crossings: 750
 #: points, 1e-3 apart, from just above the maximally mixed state up to 1.
@@ -165,22 +168,44 @@ def purify_coeffs(kept: Sequence[float], meas: Sequence[float],
 
     p_succ = u_a + u_b + u_c + u_d
     if p_succ < _PSUCC_EPS:
-        raise DegeneratePostSelectionError(
-            "purification post-selection has vanishing success probability"
-        )
+        raise DegeneratePostSelectionError(_VANISHING)
     return p_succ, (u_a / p_succ, u_b / p_succ, u_c / p_succ, u_d / p_succ)
 
 
+def werner_step(fidelity: float, noise: NoiseParams) -> tuple[float, float]:
+    """Checked ``(p_succ, fidelity)`` of :func:`purify_coeffs` on two Werner pairs of a float F.
+
+    Its expressions on ``(F, x, x, x)``, ``x = (1 - F) / 3``, in their order, sharing only
+    exactly equal products, so both equal the 4-tuple path's bit for bit, in either
+    protocol; the output is checked as ``checked_coeffs`` checks it, without a tuple.
+    """
+    x = (1.0 - fidelity) / 3.0
+    alpha, beta, gates_ok, floor = noise.purify_constants
+    ax, bx, fx, xx = alpha * x, beta * x, fidelity * x, x * x
+    mixed, flips = x * (ax + bx), beta * (fx + xx)
+    u_a = gates_ok * (fidelity * (alpha * fidelity + bx) + mixed) + floor
+    u_b = gates_ok * (alpha * (fx + fx) + flips) + floor
+    u_c = gates_ok * (x * (ax + beta * fidelity) + mixed) + floor
+    u_d = gates_ok * (alpha * (xx + xx) + flips) + floor
+    p_succ = u_a + u_b + u_c + u_d
+    if p_succ < _PSUCC_EPS:
+        raise DegeneratePostSelectionError(_VANISHING)
+    a, b, c, d = u_a / p_succ, u_b / p_succ, u_c / p_succ, u_d / p_succ
+    if a >= 0.0 and b >= 0.0 and c >= 0.0 and d >= 0.0 and abs(a + b + c + d - 1.0) <= COEFF_ATOL:
+        return p_succ, a
+    return p_succ, checked_coeffs((a, b, c, d))[0]
+
+
 def purify_bennett(fidelity: float, noise: NoiseParams) -> PurifyOutcome:
-    """One purification step of the twirl-based protocol on Werner pairs.
+    """One purification step of the twirl-based protocol on Werner pairs (:func:`werner_step`).
 
     The map acts on the fidelity alone; the output pair is depolarized back
     to Werner form before the next step, as the protocol prescribes.
     """
-    werner = werner_coeffs(fidelity)
+    fidelity = require_in("Werner fidelity", fidelity, 0.25, 1.0)
     require_type("noise", noise, NoiseParams)
-    p_succ, out = purify_coeffs(werner, werner, noise, "bennett")
-    return PurifyOutcome(checked_coeffs(out)[0], p_succ)
+    p_succ, out = werner_step(fidelity, noise)
+    return PurifyOutcome(out, p_succ)
 
 
 def purify_with_aux(target: BellDiagonalState, aux: BellDiagonalState,
@@ -204,14 +229,13 @@ def purify_with_aux(target: BellDiagonalState, aux: BellDiagonalState,
 def bennett_map(noise: NoiseParams) -> Callable[[float], float]:
     """The fidelity view of :func:`purify_bennett`, the map ``fixed_points`` searches.
 
-    ``noise`` is checked once, here; each evaluation runs the same kernels
-    as :func:`purify_bennett`, bit for bit, without building its outcome.
+    ``noise`` is checked once, here; each evaluation runs the range check and
+    :func:`werner_step` as :func:`purify_bennett` does, without building its outcome.
     """
     require_type("noise", noise, NoiseParams)
 
     def fidelity_map(fidelity: float) -> float:
-        werner = werner_coeffs(fidelity)
-        return checked_coeffs(purify_coeffs(werner, werner, noise, "bennett")[1])[0]
+        return werner_step(require_in("Werner fidelity", fidelity, 0.25, 1.0), noise)[1]
     return fidelity_map
 
 

@@ -78,8 +78,9 @@ proves it everywhere, since both sides are polynomials: each output
 (``p_succ`` times the coefficients, in purification) is affine in each
 pair, of degree 2 in eta and in a Werner pair's fidelity F (connecting two),
 of degree 1 in p1 and p2 in connection, and of degree 2 in p2 and 0 in p1
-in purification.  The grid takes one node more than each degree, four
-affinely independent pairs and both purification steps: 516 circuits.
+in purification; ``werner_step`` on two Werner pairs is of degree 2 in F,
+p2 and eta.  The grid takes one node more than each degree, four affinely
+independent pairs and both purification steps: 543 circuits.
 This is the only module that needs numpy, and only the ``oracle-check``
 subcommand imports it.
 """
@@ -316,7 +317,8 @@ def closed_form_deviations() -> dict[str, tuple[float, str]]:
 
     ``connect_coeffs`` (all coefficients) and both steps of ``purify_coeffs``
     (``p_succ`` and coefficients, at p1 = 1) on every two grid pairs, and
-    ``connect_L(F, 2, noise)`` on two Werner pairs; a NaN counts as infinite.
+    ``connect_L(F, 2, noise)`` and ``werner_step`` (at p1 = 1) on two Werner
+    pairs; a NaN counts as infinite.
     Returns, in check order, each map's label -> (its worst deviation, the
     node where it occurs: the indices i of its pairs, or F, and the noise).
     """
@@ -351,4 +353,9 @@ def closed_form_deviations() -> dict[str, tuple[float, str]]:
                 want_p, want = maps.purify_coeffs(kept.coeffs, sacrificed.coeffs, noise, protocol)
                 record(f"{protocol} purification", f"pairs (e{i}, e{j})", noise,
                        (p_succ, *out.coeffs), (want_p, *want))
+    for f, p2, eta in itertools.product(_GRID_DEGREE_2, repeat=3):
+        werner, noise = BellDiagonalState(werner_coeffs(f)), NoiseParams(1.0, p2, eta)
+        p_succ, out = oracle_purify(werner, werner, noise, "bennett")
+        record("Werner purification", f"F={f:g}", noise, (p_succ, out.fidelity),
+               maps.werner_step(f, noise))
     return found

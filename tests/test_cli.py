@@ -529,6 +529,19 @@ class TestOracleCheck:
         assert re.fullmatch(r"worst: connection coefficients at pairs \(e[0-3], e[0-3]\), "
                             r"p1=[.0-9]+ p2=[.0-9]+ eta=[.0-9]+", out.splitlines()[-2])
 
+    def test_perturbed_werner_step_fails(self, capsys, monkeypatch):
+        # scheme A's scalar step is checked as its own map, on two Werner pairs
+        from qrepeater import maps
+
+        exact = maps.werner_step
+        monkeypatch.setattr(maps, "werner_step", lambda fidelity, noise:
+                            (exact(fidelity, noise)[0], exact(fidelity, noise)[1] + 1e-9))
+        code, out, _ = run_cli(capsys, "oracle-check")
+        assert code == 1
+        assert re.fullmatch(r"worst: Werner purification at F=[.0-9]+, "
+                            r"p1=1 p2=[.0-9]+ eta=[.0-9]+", out.splitlines()[-2])
+        assert out.splitlines()[-1].startswith("FAIL: max deviation 1.000e-09")
+
     @pytest.mark.parametrize("kernel, name", [
         ("connect_coeffs", "connection coefficients"),
         ("purify_coeffs", "bennett purification"),

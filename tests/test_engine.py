@@ -16,7 +16,8 @@ from qrepeater.engine import (
     simulate,
 )
 from qrepeater.errors import AuxPurificationError, InfeasibleError, ValidationError
-from qrepeater.states import BellDiagonalState, NoiseParams, WernerState, werner_coeffs
+from qrepeater.states import (BellDiagonalState, NoiseParams, WernerState, checked_coeffs,
+                              werner_coeffs)
 
 NOISE = NoiseParams.uniform(0.995)
 #: The acceptance grid of working fidelities: 0.86 to 0.995 in steps of 0.0025.
@@ -281,14 +282,24 @@ class TestLoopMatchesPublicMaps:
         assert (level.fidelity_connected, level.fidelity_achieved, level.p_succ) == want
         assert level.steps == len(want[2])
 
-    @pytest.mark.parametrize("scheme", "ABC")
-    def test_purify_kernel_output_is_checked(self, monkeypatch, scheme):
-        def negative_output(kept, meas, noise, protocol):
-            return 0.5, (1.0 + 2e-12, -2e-12, 0.0, 0.0)
-
-        monkeypatch.setattr(engine, "purify_coeffs", negative_output)
-        with pytest.raises(ValidationError, match="negative beyond tolerance"):
+    # scheme A runs the scalar Werner step, whose fidelity gets the Werner range check: a
+    # fidelity below 1/4 would otherwise end the run as a stall
+    @pytest.mark.parametrize("scheme, kernel, output, message", [
+        ("A", "werner_step", (0.5, 0.25 - 1e-12), r"Werner fidelity must lie in \[0\.25, 1\.0\]"),
+        *[(scheme, "purify_coeffs", (0.5, (1.0 + 2e-12, -2e-12, 0.0, 0.0)),
+           "negative beyond tolerance") for scheme in "BC"],
+    ], ids="ABC")
+    def test_purify_kernel_output_is_checked(self, monkeypatch, scheme, kernel, output, message):
+        monkeypatch.setattr(engine, kernel, lambda *args: output)
+        with pytest.raises(ValidationError, match=message):
             simulate(make_config(scheme=scheme))
+
+    def test_werner_step_checks_all_four_coefficients(self):
+        # a negative floor leaves the fidelity positive but a flip coefficient far below 0
+        noise = NoiseParams.uniform(0.995)
+        vars(noise)["purify_constants"] = (1.0, 0.0, 1.0, -0.01)
+        with pytest.raises(ValidationError, match="negative beyond tolerance"):
+            simulate(make_config(scheme="A", noise=noise))
 
     @pytest.mark.parametrize("scheme", "BC")
     def test_connect_kernel_output_is_checked(self, monkeypatch, scheme):
@@ -296,6 +307,25 @@ class TestLoopMatchesPublicMaps:
         monkeypatch.setattr(maps, "_from_characters", lambda h1, h2, h3: (0.5, 0.5, 0.5, 0.5))
         with pytest.raises(ValidationError, match="must sum to 1"):
             simulate(make_config(scheme=scheme))
+
+
+class TestWernerStep:
+    """``maps.werner_step`` is ``purify_coeffs`` on two Werner pairs, then ``checked_coeffs``."""
+
+    @given(fidelity=st.floats(0.25, 1.0), p1=st.floats(0.0, 1.0), p2=st.floats(0.0, 1.0),
+           eta=st.floats(0.5, 1.0), protocol=st.sampled_from(maps.PROTOCOLS))
+    @example(fidelity=0.25, p1=1.0, p2=1.0, eta=1.0, protocol="bennett")
+    @example(fidelity=1.0, p1=1.0, p2=1.0, eta=1.0, protocol="deutsch")
+    @example(fidelity=0.25, p1=0.0, p2=0.0, eta=0.5, protocol="deutsch")
+    @example(fidelity=1.0, p1=0.0, p2=0.0, eta=0.5, protocol="bennett")
+    @example(fidelity=1.0, p1=1.0, p2=1.0, eta=0.5, protocol="bennett")
+    @example(fidelity=0.25, p1=1.0, p2=0.0, eta=1.0, protocol="deutsch")
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_vector_kernel_bit_for_bit(self, fidelity, p1, p2, eta, protocol):
+        noise = NoiseParams(p1, p2, eta)
+        werner = werner_coeffs(fidelity)
+        p_succ, out = maps.purify_coeffs(werner, werner, noise, protocol)
+        assert maps.werner_step(fidelity, noise) == (p_succ, checked_coeffs(out)[0])
 
 
 #: (scheme, protocol, f_init, f_work): schemes A and B at their optimum working

@@ -651,7 +651,8 @@ class TestClosedFormsOnTheGrid:
     Each pair enters both sides affinely (purification's ``p_succ`` and
     ``p_succ`` times its vector); eta enters with degree 2, p2 with degree 1
     in connection and 2 in purification, p1 with degree 1 in connection only,
-    and a Werner pair's fidelity with degree 2 in a connection of two.  So a
+    and a Werner pair's fidelity with degree 2 in a connection of two and in
+    the scalar Werner step (``maps.werner_step``, p2 and eta likewise 2).  So a
     tensor grid with one node more than each degree, affinely independent
     pairs, and both purification steps makes equality there equality
     everywhere.  The calls ``closed_form_deviations`` makes are read off the
@@ -709,13 +710,28 @@ class TestClosedFormsOnTheGrid:
     def test_purification_vector_and_success_probability(self, monkeypatch):
         worst, _, purifies = self.run_shipped_check(monkeypatch)
         assert all(worst[f"{protocol} purification"] <= 1e-12 for protocol in maps.PROTOCOLS)
-        assert len(purifies) == 288
+        pairs = set(orc._GRID_PAIRS)
+        on_pairs = [call for call in purifies if {call[0], call[1]} <= pairs]
+        assert len(on_pairs) == 288
         # the two pairs (affine, so 4 nodes each), p1 (degree 0), p2 and eta (2), and
         # both protocols
-        kept, sacrificed, p1, *_, protocols = self.tensor_nodes(purifies, (3, 3, 0, 2, 2, 1))
-        assert kept == sacrificed == sorted(orc._GRID_PAIRS)
+        kept, sacrificed, p1, *_, protocols = self.tensor_nodes(on_pairs, (3, 3, 0, 2, 2, 1))
+        assert kept == sacrificed == sorted(pairs)
         assert np.linalg.matrix_rank(np.array(kept)) == 4
         assert p1 == [1.0] and protocols == sorted(maps.PROTOCOLS)
+
+    def test_werner_step(self, monkeypatch):
+        worst, _, purifies = self.run_shipped_check(monkeypatch)
+        assert worst["Werner purification"] <= 1e-12
+        # the rest: the twirl-based step on two equal Werner pairs at p1 = 1, whose
+        # fidelity, p2 and eta (degree 2 each) run on the grid's degree-2 nodes
+        werner = [call for call in purifies if not {call[0], call[1]} <= set(orc._GRID_PAIRS)]
+        assert len(werner) == 27
+        assert all(kept == sacrificed and len(set(kept[1:])) == 1 and p1 == 1.0
+                   and protocol == "bennett" for kept, sacrificed, p1, *_, protocol in werner)
+        by_fidelity = [(kept[0], p2, eta) for kept, _, _, p2, eta, _ in werner]
+        nodes = self.tensor_nodes(by_fidelity, (2, 2, 2))
+        assert nodes == [sorted(orc._GRID_DEGREE_2)] * 3
 
 
 class TestRealArithmetic:
